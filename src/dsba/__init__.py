@@ -7,7 +7,7 @@ mode and explicit/full-batch baselines.
 
 from .algorithms import (NodeState, PhiTable, contraction_rate, dsa_node_step,
                          dsba_node_step, extra_round, make_node,
-                         pointsaga_step, step_size_bound)
+                         step_size_bound)
 from .dataset import (Sample, Shards, default_lambda, normalize_rows,
                       parse_libsvm, partition)
 from .operators import (OperatorSpec, eval_component, eval_operator,
@@ -19,7 +19,7 @@ from .simulator import (MetricsLog, Problem, RunConfig, RunResult,
 from .sparse import SparseVec
 from .sparsecomm import DeltaPacket, Network, ObserverMemory, RelaySchedule, run_sparse
 from .topology import (Graph, MixingMatrix, build_mixing,
-                       check_mixing_conditions, condition_numbers,
-                       gen_random_graph, make_adjacency)
+                       check_mixing_conditions, gen_random_graph,
+                       make_adjacency)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Per-node update rules.
 
 Implements the implicit (resolvent-based) variance-reduced update, its
-explicit counterpart, the full-activation baseline round, and the
-single-node degenerate case.
+explicit counterpart and the full-activation baseline round. On a single
+node (self-loop mixing, W = Wt = 1) the implicit update is Point-SAGA.
 
 Conventions shared by every method:
 
@@ -171,15 +171,6 @@ def dsa_node_step(state: NodeState, mixed: np.ndarray):
         delta.add_into(z_next, -alpha)
     _advance(state, z_next, delta)
     return z_next, delta, i
-
-
-def pointsaga_step(state: NodeState):
-    """Single-node degenerate case of the implicit update (no network)."""
-    if state.t == 0:
-        mixed = 1.0 * state.z
-    else:
-        mixed = 1.0 * (2.0 * state.z - state.z_prev)
-    return dsba_node_step(state, mixed)
 
 
 def local_mean_operator(ops: list[OperatorSpec], z: np.ndarray, lam: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from .operators import (eval_component, eval_operator, make_operator,
                         resolve_regularized)
 from .simulator import (ConfigError, RunConfig, SyntheticSpec, manifest_json,
                         run)
-from .topology import (build_mixing, check_mixing_conditions,
+from .topology import (TopologyError, build_mixing, check_mixing_conditions,
                        gen_random_graph)
 
 EXIT_OK = 0
@@ -42,7 +42,11 @@ def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default):
     if cfg.has_option(section, key):
         raw = cfg.get(section, key).strip()
         if raw:
-            return cast(raw)
+            try:
+                return cast(raw)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid "
+                                  f"{cast.__name__}") from None
     return default
 
 
@@ -51,7 +55,10 @@ def load_config(path: str | None, args) -> RunConfig:
     if path is not None:
         if not Path(path).exists():
             raise ConfigError(f"config file not found: {path}")
-        cfg.read(path)
+        try:
+            cfg.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file {path}: {exc}") from None
 
     data_path = _get(cfg, "data", "path", str, None)
     synthetic = None
@@ -279,7 +286,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ds.DatasetError, ValueError) as exc:
+    except (ConfigError, ds.DatasetError, TopologyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -6,13 +6,12 @@ internally everything is 0-based.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .sparse import SparseVec
 
 
 class DatasetError(ValueError):
@@ -29,9 +28,6 @@ class Sample:
     @property
     def nnz(self) -> int:
         return int(len(self.indices))
-
-    def features(self, dim: int) -> SparseVec:
-        return SparseVec(self.indices, self.values, dim)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -145,13 +141,16 @@ def default_lambda(shards: Shards) -> float:
 
 
 def shard_manifest(shards: Shards) -> dict:
-    """Reproducibility record: per-shard sizes and content fingerprints."""
+    """Reproducibility record: per-shard sizes and content fingerprints
+    (the first 12 hex digits of a SHA-256 over the shard's samples)."""
     digests = []
     for shard in shards.per_node:
-        h = 0
+        h = hashlib.sha256()
         for s in shard:
-            h = (h * 1000003 + hash((s.label, s.indices.tobytes(), s.values.tobytes()))) & 0xFFFFFFFFFFFF
-        digests.append({"size": len(shard), "fingerprint": f"{h:012x}"})
+            h.update(np.array([s.label, s.nnz], dtype=np.float64).tobytes())
+            h.update(s.indices.astype(np.int64).tobytes())
+            h.update(s.values.astype(np.float64).tobytes())
+        digests.append({"size": len(shard), "fingerprint": h.hexdigest()[:12]})
     return {
         "n_nodes": shards.n_nodes,
         "d": shards.d,

@@ -17,10 +17,9 @@ import numpy as np
 
 from . import dataset as ds
 from .algorithms import (NodeState, dsa_node_step, dsba_node_step, extra_round,
-                         local_mean_operator, make_node, pointsaga_step,
-                         step_size_bound)
+                         local_mean_operator, make_node, step_size_bound)
 from .operators import OperatorSpec, eval_component, lipschitz_bound, make_operator
-from .sparsecomm import run_sparse
+from .sparsecomm import Network, RelaySchedule, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
 VARIANTS = ("dsba", "dsa", "extra", "pointsaga")
@@ -221,7 +220,7 @@ class RunConfig:
     family: str = "ridge"
     variant: str = "dsba"
     comm: str = "dense"             # dense | sparse
-    engine: str = "auto"            # auto | generic | fast
+    engine: str = "auto"            # auto | generic
     n_nodes: int = 10
     topology: str = "random"
     edge_prob: float = 0.4
@@ -248,10 +247,12 @@ class RunConfig:
             raise ConfigError("family must be ridge|logistic|auc")
         if self.comm not in ("dense", "sparse"):
             raise ConfigError("comm must be dense|sparse")
-        if self.engine not in ("auto", "generic", "fast"):
-            raise ConfigError("engine must be auto|generic|fast")
+        if self.engine not in ("auto", "generic"):
+            raise ConfigError("engine must be auto|generic")
         if (self.synthetic is None) == (self.dataset_path is None):
             raise ConfigError("exactly one of synthetic or dataset_path is required")
+        if self.newton_iters < 1:
+            raise ConfigError("newton_iters must be >= 1")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
         if self.n_nodes < 1:
@@ -375,7 +376,10 @@ def _make_states(problem: Problem, alpha: float, seed: int, z0: np.ndarray,
 
 def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
                        variant: str, on_round) -> np.ndarray:
-    step = dsba_node_step if variant == "dsba" else dsa_node_step
+    """Per-node engine for dsba, dsa and pointsaga. Point-SAGA is the N = 1
+    case: there W = Wt = [[1.0]], so the mixing input is exactly z^0 at
+    round 0 and 2 z^t - z^{t-1} afterwards."""
+    step = dsa_node_step if variant == "dsa" else dsba_node_step
     Z = np.stack([s.z for s in states])
     Zp = Z.copy()
     for t in range(rounds):
@@ -389,32 +393,14 @@ def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
     return Z
 
 
-def _run_pointsaga(state: NodeState, rounds: int, on_round) -> np.ndarray:
-    for t in range(rounds):
-        z_next, _, _ = pointsaga_step(state)
-        if on_round(t, z_next[None, :]):
-            break
-    return state.z[None, :]
-
-
 def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
-               z0: np.ndarray, on_round, fast: bool) -> np.ndarray:
+               z0: np.ndarray, on_round) -> np.ndarray:
     N = problem.n_nodes
     Z = np.tile(z0, (N, 1))
-    if fast:
-        X = np.stack([np.stack([_densify(s, problem.dim) for s in shard])
-                      for shard in problem.shards.per_node])
-        Y = np.stack([np.array([s.label for s in shard])
-                      for shard in problem.shards.per_node])
-        M = np.einsum("nqi,nqj->nij", X, X) / X.shape[1]
-        b = np.einsum("nqi,nq->ni", X, Y) / X.shape[1]
 
-        def G_of(Zm):
-            return np.matmul(M, Zm[:, :, None])[:, :, 0] - b + problem.lam * Zm
-    else:
-        def G_of(Zm):
-            return np.stack([local_mean_operator(ops_n, Zm[n], problem.lam)
-                             for n, ops_n in enumerate(problem.ops)])
+    def G_of(Zm):
+        return np.stack([local_mean_operator(ops_n, Zm[n], problem.lam)
+                         for n, ops_n in enumerate(problem.ops)])
     G = G_of(Z)
     Zp, Gp = Z, G
     for t in range(rounds):
@@ -518,16 +504,9 @@ def _load_shards(config: RunConfig) -> ds.Shards:
 
 def _pick_engine(config: RunConfig, problem: Problem) -> str:
     shard_sizes = {len(ops) for ops in problem.ops}
-    fast_ok = (config.comm == "dense" and problem.family == "ridge"
-               and config.variant in ("dsba", "dsa") and len(shard_sizes) == 1
-               and not config.track_lyapunov)
-    if config.engine == "fast":
-        if not fast_ok:
-            raise ConfigError("fast engine requires dense ridge dsba/dsa with "
-                              "equal shards and no lyapunov tracking")
-        return "fast"
-    if config.engine == "generic":
-        return "generic"
+    fast_ok = (config.engine == "auto" and config.comm == "dense"
+               and problem.family == "ridge" and config.variant in ("dsba", "dsa")
+               and len(shard_sizes) == 1 and not config.track_lyapunov)
     return "fast" if fast_ok else "generic"
 
 
@@ -556,11 +535,11 @@ def run(config: RunConfig) -> RunResult:
     trajectory: list[np.ndarray] | None = None
     if config.record_trajectory:
         trajectory = [Z0.copy()]
-    net_holder: dict = {}
+    net = Network(RelaySchedule(mix.adjacency)) if config.comm == "sparse" else None
 
     def c_max_at(t: int) -> int:
-        if "net" in net_holder:
-            return int(net_holder["net"].received_doubles().max())
+        if net is not None:
+            return int(net.received_doubles().max())
         degrees = adjacency.sum(axis=1)
         if config.n_nodes == 1:
             return 0
@@ -625,16 +604,11 @@ def run(config: RunConfig) -> RunResult:
 
     if config.rounds == 0:
         Z_final = Z0
-    elif config.comm == "sparse":
-        Z_final, net = run_sparse(start_states(), mix, config.rounds,
-                                  variant=config.variant, on_round=on_round,
-                                  net_hook=lambda n: net_holder.__setitem__("net", n))
+    elif net is not None:
+        Z_final, _ = run_sparse(start_states(), mix, config.rounds,
+                                variant=config.variant, on_round=on_round, net=net)
     elif config.variant == "extra":
-        fast = problem.family == "ridge" and engine != "generic" \
-            and len({len(ops) for ops in problem.ops}) == 1
-        Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round, fast)
-    elif config.variant == "pointsaga":
-        Z_final = _run_pointsaga(start_states()[0], config.rounds, on_round)
+        Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     elif engine == "fast":
         Z_final = _run_fast_ridge(problem, mix, config.rounds, alpha,
                                   config.seed, z0, config.variant, on_round)
@@ -644,7 +618,7 @@ def run(config: RunConfig) -> RunResult:
 
     gamma = mix.gamma
     manifest = {
-        "config": _config_dict(config),
+        "config": asdict(config),
         "engine": engine,
         "alpha": alpha,
         "lambda": lam,
@@ -665,15 +639,9 @@ def run(config: RunConfig) -> RunResult:
         manifest=manifest,
         lyapunov=tracker.history if tracker else None,
         trajectory=trajectory,
-        comm_per_round=net_holder["net"].round_values if "net" in net_holder else None,
-        received_doubles=(net_holder["net"].received_doubles()
-                          if "net" in net_holder else None),
+        comm_per_round=net.round_values if net is not None else None,
+        received_doubles=net.received_doubles() if net is not None else None,
     )
-
-
-def _config_dict(config: RunConfig) -> dict:
-    out = asdict(config)
-    return out
 
 
 def manifest_json(result: RunResult) -> str:

@@ -1,6 +1,6 @@
 """Index/value sparse vectors.
 
-Used for data samples, operator-history entries, and the delta payloads
+Used for operator outputs, history-table entries and the delta payloads
 that go over the (simulated) wire. Indices are sorted, unique int64;
 values are float64.
 """
@@ -27,13 +27,6 @@ class SparseVec:
         nz = np.flatnonzero(x)
         return cls(nz.astype(np.int64), np.asarray(x, dtype=np.float64)[nz], len(x))
 
-    @classmethod
-    def from_pairs(cls, idx, val, dim: int) -> "SparseVec":
-        idx = np.asarray(idx, dtype=np.int64)
-        val = np.asarray(val, dtype=np.float64)
-        order = np.argsort(idx, kind="stable")
-        return cls(idx[order], val[order], dim)
-
     @property
     def nnz(self) -> int:
         return int(len(self.idx))
@@ -47,23 +40,3 @@ class SparseVec:
         """dense += scale * self, in place. Indices are unique so plain
         fancy-index accumulation is safe."""
         dense[self.idx] += scale * self.val
-
-    def dot(self, dense: np.ndarray) -> float:
-        return float(self.val @ dense[self.idx])
-
-    def scaled(self, c: float) -> "SparseVec":
-        return SparseVec(self.idx, c * self.val, self.dim)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.val))
-
-    def sub(self, other: "SparseVec") -> "SparseVec":
-        """self - other with union support. Same-support inputs (the common
-        case: two outputs of the same component operator) take a fast path."""
-        if len(self.idx) == len(other.idx) and np.array_equal(self.idx, other.idx):
-            return SparseVec(self.idx, self.val - other.val, self.dim)
-        idx = np.union1d(self.idx, other.idx)
-        val = np.zeros(len(idx))
-        val[np.searchsorted(idx, self.idx)] += self.val
-        val[np.searchsorted(idx, other.idx)] -= other.val
-        return SparseVec(idx, val, self.dim)

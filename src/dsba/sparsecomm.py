@@ -64,11 +64,6 @@ class RelaySchedule:
     def delay(self, origin: int, dest: int) -> int:
         return int(self.dist[origin, dest])
 
-    def layers(self, observer: int) -> list[np.ndarray]:
-        """Nodes grouped by hop distance from the observer (index = distance)."""
-        ecc = int(self.dist[observer].max())
-        return [np.flatnonzero(self.dist[observer] == j) for j in range(ecc + 1)]
-
 
 @dataclass
 class Delivery:
@@ -236,16 +231,6 @@ class ObserverMemory:
         for key in stale:
             del self.dlog[key]
 
-    @property
-    def memory_values(self) -> int:
-        """Rough footprint in stored doubles (invariant: O((E + 2N) d))."""
-        total = 0
-        if self.zA is not None:
-            total += self.zA.size + self.zB.size
-        for gen in self.gens.values():
-            total += sum(g.size for g in gen if g is not None)
-        return total
-
 
 def bootstrap_rounds(mix: MixingMatrix) -> int:
     """Dense warm-up length: enough rounds that every observer's seed only
@@ -254,23 +239,21 @@ def bootstrap_rounds(mix: MixingMatrix) -> int:
 
 
 def run_sparse(states: list[NodeState], mix: MixingMatrix, rounds: int,
-               variant: str = "dsba", trace: bool = False,
-               on_round=None, net_hook=None) -> tuple[np.ndarray, Network]:
+               variant: str = "dsba", on_round=None,
+               net: Network | None = None) -> tuple[np.ndarray, Network]:
     """Execute `rounds` synchronous rounds under the sparse protocol.
 
     `states` must be freshly initialized (t = 0). `on_round(t, Z)` is called
-    after every round with the stacked iterate matrix. Returns the final
-    iterate matrix and the network (for communication accounting);
-    `net_hook(net)` exposes the network before the first round for callers
-    that account traffic inside `on_round`.
+    after every round with the stacked iterate matrix. `net` is a fresh
+    network on `mix`'s graph, passed in by callers that read its traffic
+    inside `on_round`; by default one is built here. Returns the final
+    iterate matrix and the network (for communication accounting).
     """
     N = len(states)
     d = states[0].table.dim
     step = dsba_node_step if variant == "dsba" else dsa_node_step
-    schedule = RelaySchedule(mix.adjacency)
-    net = Network(schedule, trace=trace)
-    if net_hook is not None:
-        net_hook(net)
+    if net is None:
+        net = Network(RelaySchedule(mix.adjacency))
     degrees = mix.adjacency.sum(axis=1)
     qs = np.array([s.q for s in states])
     observers = [ObserverMemory(n, mix, qs, states[0].alpha, states[0].lam, variant)

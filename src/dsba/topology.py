@@ -131,47 +131,11 @@ class Graph:
     def n(self) -> int:
         return len(self.adjacency)
 
-    @property
-    def edges(self) -> list[tuple[int, int]]:
-        iu, ju = np.nonzero(np.triu(self.adjacency, 1))
-        return [(int(i), int(j)) for i, j in zip(iu, ju)]
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.adjacency[v])
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(np.int64)
-
 
 def gen_random_graph(n_nodes: int, edge_prob: float, seed: int) -> Graph:
     if n_nodes < 1:
         raise TopologyError("need at least one node")
     return Graph(adjacency_erdos_renyi(n_nodes, edge_prob, seed))
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [str(g.n)]
-    lines += [f"{u} {v}" for u, v in g.edges]
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise TopologyError("empty graph text")
-    n = int(lines[0])
-    A = np.zeros((n, n))
-    for ln in lines[1:]:
-        u, v = (int(x) for x in ln.split())
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise TopologyError(f"bad edge {ln!r}")
-        A[u, v] = A[v, u] = 1.0
-    return Graph(A)
-
-
-def mixing_to_csv(mix: "MixingMatrix") -> str:
-    return "\n".join(",".join(f"{x:.17g}" for x in row) for row in mix.W) + "\n"
 
 
 @dataclass
@@ -196,10 +160,6 @@ class MixingMatrix:
     @property
     def diameter(self) -> int:
         return int(self.distances.max())
-
-    @property
-    def graph_condition(self) -> float:
-        return 1.0 / self.gamma
 
 
 def build_mixing(A, tau: float | None = None) -> MixingMatrix:
@@ -255,13 +215,6 @@ def check_mixing_conditions(mix: MixingMatrix, tol: float = 1e-10) -> dict:
         "spectrum_W": ok_spectrum,
         "spectrum_Wt": ok_spectrum_t,
     }
-
-
-def condition_numbers(mix: MixingMatrix, L: float, mu: float) -> tuple[float, float]:
-    """Operator and graph condition numbers (L/mu, 1/gamma)."""
-    if mu <= 0 or L < mu:
-        raise TopologyError("need L >= mu > 0")
-    return L / mu, 1.0 / mix.gamma
 
 
 def relay_parents(A: np.ndarray) -> np.ndarray:

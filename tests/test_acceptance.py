@@ -26,7 +26,6 @@ from dsba import (
     make_node,
     make_operator,
     partition,
-    pointsaga_step,
     reference_solution,
     resolve_regularized,
     resolvent,
@@ -197,24 +196,30 @@ def test_node_step_back_substitution_with_ridge():
 
 
 def test_single_node_matches_pointsaga_bitwise():
-    rng = np.random.default_rng(3)
-    d, q = 8, 15
-    samples = [_rand_sample_dense(rng, d) for _ in range(q)]
-    lam, alpha = 0.2, 0.15
-    ops_a = [make_operator("ridge", s, lam, d) for s in samples]
-    ops_b = [make_operator("ridge", s, lam, d) for s in samples]
-    z0 = rng.standard_normal(d)
-    node_a = make_node(0, ops_a, alpha=alpha, lam=lam, z0=z0, seed=5)
-    node_b = make_node(0, ops_b, alpha=alpha, lam=lam, z0=z0, seed=5)
-    for t in range(1000):
-        if t == 0:
-            mixed = 1.0 * node_a.z
-        else:
-            mixed = 1.0 * (2.0 * node_a.z - node_a.z_prev)
-        za, _, ia = dsba_node_step(node_a, mixed)
-        zb, _, ib = pointsaga_step(node_b)
-        assert ia == ib
-        assert np.array_equal(za, zb)
+    # run(variant="pointsaga") is the implicit update on a self-loop:
+    # mixing input z^0 at round 0 and 2 z^t - z^{t-1} afterwards
+    rounds, seed = 600, 5
+    for family in ("ridge", "logistic", "auc"):
+        kind = "ridge" if family == "ridge" else "classification"
+        spec = SyntheticSpec(kind=kind, d=8, n_samples=15, margin=0.05, seed=3)
+        cfg = RunConfig(family=family, variant="pointsaga", n_nodes=1,
+                        topology="complete", synthetic=spec, rounds=rounds,
+                        seed=seed, record_trajectory=True, track_lyapunov=True)
+        result = run(cfg)
+        assert result.manifest["engine"] == "generic"
+        assert len(result.trajectory) == rounds + 1
+
+        problem = result.problem
+        node = make_node(0, problem.ops[0], alpha=result.alpha, lam=result.lam,
+                         z0=np.zeros(problem.dim), seed=seed)
+        for t in range(rounds):
+            if t == 0:
+                mixed = 1.0 * node.z
+            else:
+                mixed = 1.0 * (2.0 * node.z - node.z_prev)
+            z_next, _, _ = dsba_node_step(node, mixed)
+            assert np.array_equal(result.trajectory[t + 1][0], z_next), (family, t)
+        assert np.array_equal(result.z_final[0], node.z)
 
 
 def test_single_node_converges_within_pass_budget():

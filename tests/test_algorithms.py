@@ -11,11 +11,11 @@ from dsba.algorithms import (
     extra_round,
     local_mean_operator,
     make_node,
-    pointsaga_step,
     step_size_bound,
 )
 from dsba.dataset import Sample
 from dsba.operators import eval_component, make_operator, resolve_regularized
+from dsba.simulator import _run_dense_generic
 from dsba.sparse import SparseVec
 from dsba.topology import build_mixing, make_adjacency
 
@@ -122,17 +122,27 @@ def test_dsa_delta_evaluated_at_current_iterate():
 
 
 def test_pointsaga_equals_dsba_self_loop():
+    # the pointsaga engine path on one node must be the dsba recurrence on a
+    # self-loop: mixing input z^0 at round 0 and 2 z^t - z^{t-1} afterwards
     rng = np.random.default_rng(7)
     d, q = 6, 8
     ops_a = _ops(rng, d, q, lam=0.2)
     z0 = rng.standard_normal(d)
     a = make_node(0, ops_a, 0.1, 0.2, z0, seed=3)
     b = make_node(0, ops_a, 0.1, 0.2, z0, seed=3)
+    seen = []
+
+    def on_round(t, Z):
+        seen.append(Z[0].copy())
+        return False
+
+    mix = build_mixing(make_adjacency("complete", 1))
+    _run_dense_generic([a], mix, 50, "pointsaga", on_round)
+    assert len(seen) == 50
     for t in range(50):
         mixed = 1.0 * b.z if t == 0 else 1.0 * (2.0 * b.z - b.z_prev)
-        za, _, _ = pointsaga_step(a)
         zb, _, _ = dsba_node_step(b, mixed)
-        assert np.array_equal(za, zb)
+        assert np.array_equal(seen[t], zb)
 
 
 def test_extra_round_shapes_and_t0():

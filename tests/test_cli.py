@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from dsba.cli import EXIT_CONFIG, EXIT_OK, main
+import dsba.cli
+from dsba.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from dsba.operators import OperatorError
 
 FAST_INI = """\
 [run]
@@ -154,3 +156,30 @@ def test_prep_malformed_file_is_config_error(tmp_path):
     bad.write_text("+1 3:0.5 1:0.2\n")  # indices out of order
     code = main(["prep", str(bad), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
+
+
+def test_invalid_newton_iters_is_config_error(tmp_path):
+    path = tmp_path / "bad.ini"
+    path.write_text(FAST_INI.replace("[graph]", "newton_iters = 0\n\n[graph]"))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("old,new", [("d = 10", "d = abc"),
+                                     ("[run]", "stray = 1\n[run]")],
+                         ids=["non-numeric", "no-section-header"])
+def test_malformed_ini_is_config_error(tmp_path, capsys, old, new):
+    path = tmp_path / "bad.ini"
+    path.write_text(FAST_INI.replace(old, new))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_operator_error_during_run_is_runtime_error(tmp_path, ini, monkeypatch):
+    def failing_run(config):
+        raise OperatorError("singular 4x4 resolvent system")
+
+    monkeypatch.setattr(dsba.cli, "run", failing_run)
+    code = main(["run", "--config", ini, "--out", str(tmp_path)])
+    assert code == EXIT_RUNTIME

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dsba
 from dsba.dataset import (
     DatasetError,
     Sample,
@@ -112,3 +119,31 @@ def test_shard_manifest_roundtrips_counts():
     assert m["Q"] == 20
     assert m["d"] == 6
     assert m["n_nodes"] == 3
+
+
+FINGERPRINTS = """
+import json
+import numpy as np
+from dsba.dataset import Sample, partition, shard_manifest
+rng = np.random.default_rng(0)
+samples = [Sample(np.sort(rng.choice(6, size=3, replace=False)),
+                  rng.standard_normal(3), 1.0 if k % 3 else -1.0)
+           for k in range(20)]
+manifest = shard_manifest(partition(samples, 3, seed=0, d=6))
+print(json.dumps([s["fingerprint"] for s in manifest["shards"]]))
+"""
+
+
+def test_shard_fingerprints_independent_of_hash_seed():
+    src = str(Path(dsba.__file__).resolve().parents[1])
+    prints = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", FINGERPRINTS], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        prints.append(json.loads(proc.stdout))
+    assert prints[0] == prints[1]
+    assert len(set(prints[0])) == 3
+    assert all(len(f) == 12 and int(f, 16) >= 0 for f in prints[0])

@@ -131,6 +131,21 @@ def test_lipschitz_bound_dominates_observed_ratios(family):
         assert num <= L * den * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("label", [1.0, -1.0])
+def test_auc_lipschitz_is_jacobian_norm(label):
+    # the auc operator is affine: its Jacobian, probed column by column,
+    # has exactly the spectral norm the closed form reports
+    rng = np.random.default_rng(10)
+    d, lam = 7, 0.05
+    for p in (0.2, 0.5, 0.9):
+        op = make_operator("auc", _sample(rng, d, nnz=4, label=label), lam, d, p=p)
+        base = eval_component(op, np.zeros(op.dim)).to_dense()
+        J = np.column_stack([eval_component(op, e).to_dense() - base
+                             for e in np.eye(op.dim)])
+        exact = np.linalg.norm(J, 2) + lam
+        assert lipschitz_bound(op) == pytest.approx(exact, rel=1e-12)
+
+
 def test_strong_monotonicity_at_least_ridge_weight():
     rng = np.random.default_rng(8)
     d = 5

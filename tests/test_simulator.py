@@ -105,6 +105,8 @@ def test_build_problem_rejects_bad_labels():
         dict(tau_scale=0.5),
         dict(track_lyapunov=True, variant="extra"),
         dict(synthetic=None),
+        dict(engine="fast"),
+        dict(newton_iters=0),
     ],
 )
 def test_config_validation_rejects(kw):
@@ -129,11 +131,12 @@ def test_consensus_start_at_optimum_stays_there():
     shards = partition(synthetic_samples(spec), 1, seed=0, d=8)
     problem = build_problem(shards, "ridge", lam=0.1)
     z_star, _ = reference_solution(problem)
-    from dsba.algorithms import make_node, pointsaga_step
+    from dsba.algorithms import dsba_node_step, make_node
 
     node = make_node(0, problem.ops[0], alpha=0.05, lam=0.1, z0=z_star, seed=0)
-    for _ in range(200):
-        pointsaga_step(node)
+    for t in range(200):
+        # self-loop mixing input, W = Wt = [[1]]
+        dsba_node_step(node, node.z if t == 0 else 2.0 * node.z - node.z_prev)
     assert np.linalg.norm(node.z - z_star) <= 1e-12
 
 
@@ -142,9 +145,10 @@ def test_fast_engine_matches_generic():
     common = dict(family="ridge", n_nodes=4, topology="ring", synthetic=spec,
                   lam=0.05, rounds=200, seed=3, metric_every=50)
     for variant in ("dsba", "dsa"):
-        z_fast = run(RunConfig(engine="fast", variant=variant, **common)).z_final
+        fast = run(RunConfig(engine="auto", variant=variant, **common))
+        assert fast.manifest["engine"] == "fast"
         z_gen = run(RunConfig(engine="generic", variant=variant, **common)).z_final
-        assert np.max(np.abs(z_fast - z_gen)) < 1e-10
+        assert np.max(np.abs(fast.z_final - z_gen)) < 1e-10
 
 
 def test_engine_auto_falls_back_to_generic_for_logistic():

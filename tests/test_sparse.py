@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from dsba.sparse import SparseVec
@@ -30,30 +29,6 @@ def test_add_into_matches_dense_axpy(x, scale):
     acc = np.ones_like(x)
     v.add_into(acc, scale)
     assert np.allclose(acc, 1.0 + scale * x)
-
-
-@given(dense_arrays())
-def test_dot_matches_dense(x):
-    v = SparseVec.from_dense(x)
-    other = np.arange(len(x), dtype=float)
-    assert np.isclose(v.dot(other), float(x @ other))
-
-
-@given(dense_arrays(), st.floats(-5, 5, allow_nan=False))
-def test_scaled(x, c):
-    assert np.allclose(SparseVec.from_dense(x).scaled(c).to_dense(), c * x)
-
-
-@given(dense_arrays())
-def test_norm(x):
-    assert np.isclose(SparseVec.from_dense(x).norm(), np.linalg.norm(x))
-
-
-def test_sub_mixed_supports():
-    a = SparseVec.from_pairs(np.array([0, 3]), np.array([1.0, 2.0]), 5)
-    b = SparseVec.from_pairs(np.array([1, 3]), np.array([4.0, 0.5]), 5)
-    out = a.sub(b).to_dense()
-    assert np.allclose(out, [1.0, -4.0, 0.0, 1.5, 0.0])
 
 
 def test_zero():

@@ -36,13 +36,6 @@ def test_schedule_delays_match_bfs():
             assert sch.delay(o, u) == D[o, u]
 
 
-def test_schedule_layers_partition_nodes():
-    A = make_adjacency("path", 5)
-    sch = RelaySchedule(A)
-    layers = sch.layers(0)
-    assert [list(l) for l in layers] == [[0], [1], [2], [3], [4]]
-
-
 def test_network_delivers_once_per_destination():
     A = make_adjacency("path", 4)
     net = Network(RelaySchedule(A), trace=True)

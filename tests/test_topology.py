@@ -3,16 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dsba.topology import (
-    Graph,
     TopologyError,
     bfs_distances,
     build_mixing,
     check_adjacency,
     check_mixing_conditions,
-    condition_numbers,
-    gen_random_graph,
-    graph_from_text,
-    graph_to_text,
     is_connected,
     laplacian,
     make_adjacency,
@@ -105,21 +100,6 @@ def test_mixing_rejects_disconnected():
     A[2, 3] = A[3, 2] = 1.0
     with pytest.raises(TopologyError):
         build_mixing(A)
-
-
-def test_condition_numbers():
-    mix = build_mixing(make_adjacency("ring", 6))
-    kappa, graph_cond = condition_numbers(mix, L=2.0, mu=0.5)
-    assert kappa == pytest.approx(4.0)
-    assert graph_cond == pytest.approx(1.0 / mix.gamma)
-
-
-def test_graph_text_roundtrip():
-    g = gen_random_graph(7, 0.4, seed=11)
-    assert isinstance(g, Graph)
-    text = graph_to_text(g)
-    g2 = graph_from_text(text)
-    assert np.array_equal(g.adjacency, g2.adjacency)
 
 
 def test_relay_parents_are_bfs_optimal():
