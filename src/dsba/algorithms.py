@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorSpec, eval_component, resolve_regularized
+from .operators import OperatorSpec, SampleMatrix, eval_component, resolve_regularized
 from .sparse import SparseVec
 
 
@@ -173,11 +173,23 @@ def dsa_node_step(state: NodeState, mixed: np.ndarray):
     return z_next, delta, i
 
 
-def local_mean_operator(ops: list[OperatorSpec], z: np.ndarray, lam: float) -> np.ndarray:
-    """(1/q) sum_i B_i(z) + lam*z, dense."""
-    out = lam * np.asarray(z, dtype=np.float64)
-    for op in ops:
-        eval_component(op, z).add_into(out, 1.0 / len(ops))
+def local_mean_operator(samples: SampleMatrix, Z: np.ndarray, lam: float) -> np.ndarray:
+    """Every node's local mean operator at its own iterate, dense (N, dim):
+    row n is (1/q_n) sum_i B_{n,i}(Z_n) + lam*Z_n.
+
+    One product with the block-diagonal sample matrix gives all margins and
+    one with its transpose sums the weighted rows per node; auc's tail
+    outputs are summed over each node's rows.
+    """
+    Z = np.asarray(Z, dtype=np.float64)
+    N, d = Z.shape[0], samples.d
+    tail = Z[samples.row_node, d:] if samples.family == "auc" else None
+    coef, tails = samples.row_terms(samples.Xb @ Z[:, :d].ravel(), tail)
+    out = lam * Z
+    out[:, :d] += (samples.XbT @ (samples.weight * coef)).reshape(N, d)
+    if tails is not None:
+        out[:, d:] += np.add.reduceat(samples.weight[:, None] * tails,
+                                      samples.starts, axis=0)
     return out
 
 

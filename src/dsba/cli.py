@@ -229,8 +229,7 @@ def cmd_validate(args) -> int:
 
 def cmd_prep(args) -> int:
     out = _out_dir(args)
-    with open(args.dataset, "r", encoding="utf-8") as fh:
-        samples, d = ds.parse_libsvm(fh)
+    samples, d = ds.read_libsvm(args.dataset)
     samples = ds.normalize_rows(samples)
     shards = ds.partition(samples, args.nodes, args.seed, d=d)
     ds.write_shard_manifest(shards, out / "shards.json")

@@ -93,6 +93,21 @@ def parse_libsvm(stream):
     return samples, d
 
 
+def read_libsvm(path):
+    """Parse the UTF-8 LIBSVM file at `path`. Returns (samples, d).
+
+    A file that cannot be opened or is not UTF-8 text raises DatasetError
+    naming the path, like a malformed line does.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_libsvm(fh)
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 def normalize_rows(samples):
     """Scale every sample to unit l2 norm, dropping explicit zero entries.
 

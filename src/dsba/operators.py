@@ -10,6 +10,11 @@ Three families are supported, each binding one data sample:
 The l2 level `lam` is never baked into the family resolvents; it is applied
 through the rescaling identity J_{alpha(B+lam I)}(z) = J_{rho alpha B}(rho z)
 with rho = 1/(1 + lam*alpha), so the closed forms above stay exact.
+
+`SampleMatrix` holds all samples of a problem in one CSR matrix and
+evaluates every component at once; the per-sample `eval_component` is the
+reference it is tested against and the path of the stochastic per-round
+updates.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .dataset import Sample
@@ -29,8 +35,9 @@ class OperatorError(ValueError):
     pass
 
 
-# cheap instrumentation so the cost model (component evals per node per round)
-# can be asserted by tests and reported in run manifests
+# cost-model counters (component evaluations and resolvents), shared by the
+# process: simulator.run() resets them when it starts and reports them in the
+# manifest's "counters"; a batched evaluation counts one per sample row
 COUNTERS = {"component_evals": 0, "resolves": 0}
 
 
@@ -109,6 +116,77 @@ def eval_component(op: OperatorSpec, z: np.ndarray) -> SparseVec:
     idx = np.concatenate([s.indices, tail_idx])
     val = np.concatenate([coef * s.values, tail_val])
     return SparseVec(idx, val, op.dim)
+
+
+@dataclass(frozen=True)
+class SampleMatrix:
+    """Every sample of a problem in one CSR matrix, rows in node order.
+
+    `X` (Q x d) stacks the rows and serves a consensus point z. `Xb`
+    (Q x N*d) holds the same values with row i moved into the column block
+    of its node, so `Xb @ Z[:, :d].ravel()` gives x_i . z_{node(i)} for
+    every row in one product. Each row carries its label, its node and the
+    weight 1/q_n of its node's mean.
+    """
+
+    family: str
+    X: sp.csr_array
+    Xb: sp.csr_array
+    # Xb transposed and stored: building the transpose for every product
+    # costs about as much as the product itself
+    XbT: sp.csr_array
+    y: np.ndarray
+    row_node: np.ndarray
+    weight: np.ndarray
+    starts: np.ndarray       # first row of each node
+    p: float | None = None   # positive-class ratio, auc only
+
+    @classmethod
+    def from_shards(cls, family: str, per_node: list[list[Sample]], d: int,
+                    p: float | None = None) -> "SampleMatrix":
+        rows = [s for shard in per_node for s in shard]
+        sizes = np.array([len(shard) for shard in per_node])
+        nnz = np.array([s.nnz for s in rows])
+        indptr = np.concatenate([[0], np.cumsum(nnz)])
+        indices = np.concatenate([s.indices for s in rows]).astype(np.int64)
+        data = np.concatenate([s.values for s in rows]).astype(np.float64)
+        row_node = np.repeat(np.arange(len(per_node)), sizes)
+        Q, N = len(rows), len(per_node)
+        X = sp.csr_array((data, indices, indptr), shape=(Q, d))
+        Xb = sp.csr_array((data, indices + d * np.repeat(row_node, nnz), indptr),
+                          shape=(Q, N * d))
+        return cls(family, X, Xb, Xb.T.tocsr(), np.array([s.label for s in rows], dtype=np.float64),
+                   row_node, 1.0 / sizes[row_node],
+                   np.cumsum(sizes) - sizes, p)
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+    def row_terms(self, m: np.ndarray, tail: np.ndarray | None):
+        """Every row's component output at its margin m_i = x_i . w.
+
+        B_i = c_i x_i, plus for auc three outputs at coordinates d..d+2
+        that read (a, b, theta) from `tail`, given per row (Q x 3) or shared
+        (3,). Returns c and the auc tail block (Q x 3), else None. Counts
+        one component evaluation per row.
+        """
+        COUNTERS["component_evals"] += len(m)
+        y = self.y
+        if self.family == "ridge":
+            return m - y, None
+        if self.family == "logistic":
+            return -y * expit(-(y * m)), None
+        p = self.p
+        a, b, theta = tail[..., 0], tail[..., 1], tail[..., 2]
+        pos = y > 0
+        cp, cn = 2.0 * (1 - p), 2.0 * p
+        coef = np.where(pos, cp * ((m - a) - (1 + theta)), cn * ((m - b) + (1 + theta)))
+        tails = np.zeros((len(m), 3))
+        tails[:, 0] = np.where(pos, -cp * (m - a), 0.0)
+        tails[:, 1] = np.where(pos, 0.0, -cn * (m - b))
+        tails[:, 2] = 2.0 * p * (1 - p) * theta + np.where(pos, cp * m, -cn * m)
+        return coef, tails
 
 
 def eval_operator(op: OperatorSpec, z: np.ndarray) -> np.ndarray:

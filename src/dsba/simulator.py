@@ -14,11 +14,14 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import expit
 
 from . import dataset as ds
 from .algorithms import (NodeState, dsa_node_step, dsba_node_step, extra_round,
                          local_mean_operator, make_node, step_size_bound)
-from .operators import OperatorSpec, eval_component, lipschitz_bound, make_operator
+from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
+                        lipschitz_bound, make_operator, reset_counters)
 from .sparsecomm import Network, RelaySchedule, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
@@ -86,6 +89,7 @@ class Problem:
     lam: float
     ops: list[list[OperatorSpec]]   # per node
     dim: int
+    samples: SampleMatrix
 
     @property
     def n_nodes(self) -> int:
@@ -105,19 +109,24 @@ def build_problem(shards: ds.Shards, family: str, lam: float) -> Problem:
     ops = [[make_operator(family, s, lam, shards.d, p) for s in shard]
            for shard in shards.per_node]
     dim = shards.d + 3 if family == "auc" else shards.d
-    return Problem(family, shards, lam, ops, dim)
+    samples = SampleMatrix.from_shards(family, shards.per_node, shards.d, p)
+    return Problem(family, shards, lam, ops, dim, samples)
 
 
 def global_operator(problem: Problem):
-    """The root-finding target: sum_n (1/q_n) sum_i B_{n,i}(z) + N*lam*z."""
-    N = problem.n_nodes
+    """The root-finding target: sum_n (1/q_n) sum_i B_{n,i}(z) + N*lam*z.
+
+    Evaluated on the stacked sample matrix, each row weighted by its node's
+    1/q_n."""
+    S, N = problem.samples, problem.n_nodes
 
     def apply(z: np.ndarray) -> np.ndarray:
-        out = (N * problem.lam) * np.asarray(z, dtype=np.float64)
-        for ops_n in problem.ops:
-            scale = 1.0 / len(ops_n)
-            for op in ops_n:
-                eval_component(op, z).add_into(out, scale)
+        z = np.asarray(z, dtype=np.float64)
+        coef, tails = S.row_terms(S.X @ z[:S.d], z[S.d:])
+        out = (N * problem.lam) * z
+        out[:S.d] += S.X.T @ (S.weight * coef)
+        if tails is not None:
+            out[S.d:] += S.weight @ tails
         return out
 
     return apply
@@ -128,7 +137,8 @@ def reference_solution(problem: Problem, tol: float = 1e-12,
     """High-accuracy root of the global operator plus residual certificate.
 
     Ridge and auc operators are affine, so the exact root comes from column
-    probing and a single linear solve; logistic uses damped Newton.
+    probing and a single linear solve; logistic uses damped Newton with the
+    Jacobian X' diag(w sigma(1 - sigma)) X + N lam I.
     """
     dim = problem.dim
     F = global_operator(problem)
@@ -142,22 +152,16 @@ def reference_solution(problem: Problem, tol: float = 1e-12,
             e[j] = 0.0
         z = np.linalg.solve(M, -F0)
     else:
-        N = problem.n_nodes
+        N, S = problem.n_nodes, problem.samples
         z = np.zeros(dim)
         r = F(z)
         for _ in range(max_iters):
             rn = np.linalg.norm(r)
             if rn <= tol:
                 break
-            J = (N * problem.lam) * np.eye(dim)
-            for ops_n in problem.ops:
-                scale = 1.0 / len(ops_n)
-                for op in ops_n:
-                    s = op.sample
-                    m = s.label * (s.values @ z[s.indices])
-                    sig = 1.0 / (1.0 + np.exp(-m))
-                    J[np.ix_(s.indices, s.indices)] += (
-                        scale * sig * (1.0 - sig)) * np.outer(s.values, s.values)
+            m = S.y * (S.X @ z)
+            curv = sp.diags_array(S.weight * expit(m) * expit(-m))
+            J = (S.X.T @ (curv @ S.X)).toarray() + (N * problem.lam) * np.eye(dim)
             step = np.linalg.solve(J, r)
             damp = 1.0
             while damp > 1e-6:
@@ -173,31 +177,28 @@ def reference_solution(problem: Problem, tol: float = 1e-12,
 def objective(problem: Problem, z: np.ndarray) -> float:
     """Global objective value (ridge/logistic); auc problems report AUC
     through auc_score instead."""
-    N = problem.n_nodes
-    reg = 0.5 * N * problem.lam * float(z @ z)
-    total = 0.0
-    for ops_n in problem.ops:
-        scale = 1.0 / len(ops_n)
-        for op in ops_n:
-            s = op.sample
-            m = float(s.values @ z[s.indices])
-            if problem.family == "ridge":
-                total += scale * 0.5 * (m - s.label) ** 2
-            elif problem.family == "logistic":
-                total += scale * float(np.logaddexp(0.0, -s.label * m))
-            else:
-                raise ConfigError("objective undefined for auc; use auc_score")
-    return total + reg
+    if problem.family == "auc":
+        raise ConfigError("objective undefined for auc; use auc_score")
+    S = problem.samples
+    m = S.X @ z
+    if problem.family == "ridge":
+        loss = 0.5 * (m - S.y) ** 2
+    else:
+        loss = np.logaddexp(0.0, -S.y * m)
+    reg = 0.5 * problem.n_nodes * problem.lam * float(z @ z)
+    return float(S.weight @ loss) + reg
 
 
-def auc_score(w: np.ndarray, samples: list[ds.Sample]) -> float:
-    """Pairwise ranking score of the linear scorer w, ties counted 1/2.
+def auc_score(w: np.ndarray, X, labels: np.ndarray) -> float:
+    """Pairwise ranking score of the linear scorer w on the rows of X
+    (dense or sparse) with labels +-1, ties counted 1/2.
 
     Computed by rank statistics in O(Q log Q)."""
+    # imported here: scipy.stats adds ~45 MB to every process that loads it
     from scipy.stats import rankdata
 
-    scores = np.array([s.values @ w[s.indices] for s in samples])
-    labels = np.array([s.label for s in samples])
+    scores = X @ w
+    labels = np.asarray(labels)
     n_pos = int(np.sum(labels > 0))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -340,8 +341,8 @@ class LyapunovTracker:
         self.U = vecs @ np.diag(np.sqrt(evals)) @ vecs.T
         inv = np.where(evals > 1e-12, 1.0 / np.sqrt(np.where(evals > 1e-12, evals, 1.0)), 0.0)
         U_pinv = vecs @ np.diag(inv) @ vecs.T
-        B_star = np.stack([local_mean_operator(ops_n, z_star, problem.lam)
-                           for ops_n in problem.ops])
+        B_star = local_mean_operator(problem.samples,
+                                     np.tile(z_star, (problem.n_nodes, 1)), problem.lam)
         self.Q_star = -alpha * (U_pinv @ B_star)
         self.z_star = z_star
         self.targets = [[eval_component(op, z_star) for op in ops_n]
@@ -395,27 +396,17 @@ def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
 
 def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
                z0: np.ndarray, on_round) -> np.ndarray:
-    N = problem.n_nodes
-    Z = np.tile(z0, (N, 1))
-
-    def G_of(Zm):
-        return np.stack([local_mean_operator(ops_n, Zm[n], problem.lam)
-                         for n, ops_n in enumerate(problem.ops)])
-    G = G_of(Z)
+    S, lam = problem.samples, problem.lam
+    Z = np.tile(z0, (problem.n_nodes, 1))
+    G = local_mean_operator(S, Z, lam)
     Zp, Gp = Z, G
     for t in range(rounds):
         Znew = extra_round(Z, Zp, G, Gp, mix.W, mix.Wt, alpha, t)
         Zp, Z = Z, Znew
-        Gp, G = G, G_of(Z)
+        Gp, G = G, local_mean_operator(S, Z, lam)
         if on_round(t, Z):
             break
     return Z
-
-
-def _densify(s: ds.Sample, dim: int) -> np.ndarray:
-    out = np.zeros(dim)
-    out[s.indices] = s.values
-    return out
 
 
 def _run_fast_ridge(problem: Problem, mix: MixingMatrix, rounds: int,
@@ -429,14 +420,14 @@ def _run_fast_ridge(problem: Problem, mix: MixingMatrix, rounds: int,
     extended accuracy: a 1e-16 row-sum defect acts as a constant forcing on
     the weakly damped consensus direction and grows linearly with the round
     count, capping the attainable suboptimality orders of magnitude above
-    the extended-precision floor."""
+    the extended-precision floor. The operator counters advance as the
+    generic engine's would: one component evaluation per table entry at
+    the start, one per node and round, plus one resolvent for dsba."""
     f = np.longdouble
     N, d, lam = problem.n_nodes, problem.dim, f(problem.lam)
     q = problem.shards.q_min
-    X = np.stack([np.stack([_densify(s, d) for s in shard])
-                  for shard in problem.shards.per_node]).astype(f)
-    Y = np.stack([np.array([s.label for s in shard])
-                  for shard in problem.shards.per_node]).astype(f)
+    X = problem.samples.X.toarray().reshape(N, q, d).astype(f)
+    Y = problem.samples.y.reshape(N, q).astype(f)
     na2 = np.einsum("nqd,nqd->nq", X, X)
     deg = mix.adjacency.sum(axis=1)
     Lap = (np.diag(deg) - mix.adjacency).astype(f)
@@ -449,6 +440,7 @@ def _run_fast_ridge(problem: Problem, mix: MixingMatrix, rounds: int,
     # table of scalar coefficients: phi_{n,i} = coef[n,i] * a_{n,i}
     coef = np.einsum("nqd,d->nq", X, Z[0]) - Y
     phibar = np.einsum("nq,nqd->nd", coef, X) / q
+    COUNTERS["component_evals"] += N * q
     dprev = np.zeros((N, d), dtype=f)
     rho = f(1) / (f(1) + lam * al)
     aa = rho * al
@@ -479,6 +471,9 @@ def _run_fast_ridge(problem: Problem, mix: MixingMatrix, rounds: int,
             else:
                 Znew = (mixv + al * ((q - 1.0) / q * dprev - delta)
                         - (al * lam) * (Z - Zp))
+        COUNTERS["component_evals"] += N
+        if variant == "dsba":
+            COUNTERS["resolves"] += N
         phibar += delta / q
         coef[rows, i] = newcoef
         dprev = delta
@@ -494,8 +489,7 @@ def _run_fast_ridge(problem: Problem, mix: MixingMatrix, rounds: int,
 
 def _load_shards(config: RunConfig) -> ds.Shards:
     if config.dataset_path is not None:
-        with open(config.dataset_path, "rb") as fh:
-            samples, d = ds.parse_libsvm(fh)
+        samples, d = ds.read_libsvm(config.dataset_path)
         samples = ds.normalize_rows(samples)
         return ds.partition(samples, config.n_nodes, config.seed, d=d)
     samples = synthetic_samples(config.synthetic)
@@ -512,6 +506,7 @@ def _pick_engine(config: RunConfig, problem: Problem) -> str:
 
 def run(config: RunConfig) -> RunResult:
     config.validate()
+    reset_counters()
     t_start = time.perf_counter()
     shards = _load_shards(config)
     lam = config.lam if config.lam is not None else ds.default_lambda(shards)
@@ -557,7 +552,7 @@ def run(config: RunConfig) -> RunResult:
         elif problem.family == "auc":
             w_mean = Z.mean(axis=0)[: shards.d]
             try:
-                score = auc_score(w_mean, [s for sh in shards.per_node for s in sh])
+                score = auc_score(w_mean, problem.samples.X, problem.samples.y)
             except ConfigError:
                 score = float("nan")
         else:
@@ -631,6 +626,7 @@ def run(config: RunConfig) -> RunResult:
         "rho": shards.rho,
         "z_star_residual": z_resid,
         "shards": ds.shard_manifest(shards),
+        "counters": dict(COUNTERS),
         "numpy": np.__version__,
     }
     return RunResult(

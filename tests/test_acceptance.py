@@ -500,7 +500,8 @@ def test_auc_score_matches_brute_force():
                 label=-labels[0],
             )
         w = rng.standard_normal(d)
-        fast = auc_score(w, samples)
+        fast = auc_score(w, np.stack([s.values for s in samples]),
+                         np.array([s.label for s in samples]))
         scores = [float(w @ s.values) for s in samples]
         pos = [sc for sc, s in zip(scores, samples) if s.label > 0]
         neg = [sc for sc, s in zip(scores, samples) if s.label < 0]

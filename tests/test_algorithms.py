@@ -14,7 +14,8 @@ from dsba.algorithms import (
     step_size_bound,
 )
 from dsba.dataset import Sample
-from dsba.operators import eval_component, make_operator, resolve_regularized
+from dsba.operators import (SampleMatrix, eval_component, make_operator,
+                            resolve_regularized)
 from dsba.simulator import _run_dense_generic
 from dsba.sparse import SparseVec
 from dsba.topology import build_mixing, make_adjacency
@@ -80,7 +81,9 @@ def test_estimator_unbiased_over_samples():
         est = table.estimator(i, z, lam)
         eval_component(ops[i], z).add_into(est)
         mean_est += est / q
-    assert np.allclose(mean_est, local_mean_operator(ops, z, lam), atol=1e-12)
+    samples = SampleMatrix.from_shards("ridge", [[op.sample for op in ops]], d)
+    exact = local_mean_operator(samples, z[None, :], lam)[0]
+    assert np.allclose(mean_est, exact, atol=1e-12)
 
 
 def test_node_rng_streams_are_per_node():

@@ -183,3 +183,20 @@ def test_operator_error_during_run_is_runtime_error(tmp_path, ini, monkeypatch):
     monkeypatch.setattr(dsba.cli, "run", failing_run)
     code = main(["run", "--config", ini, "--out", str(tmp_path)])
     assert code == EXIT_RUNTIME
+
+
+def test_missing_data_path_is_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing.libsvm"
+    path = tmp_path / "run.ini"
+    path.write_text(f"[data]\npath = {missing}\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_prep_non_utf8_file_is_config_error(tmp_path, capsys):
+    data = tmp_path / "latin1.libsvm"
+    data.write_bytes(LIBSVM_SMALL.encode() + b"+1 1:0.5 2:\xe91.0\n")
+    code = main(["prep", str(data), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "not UTF-8" in capsys.readouterr().err

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from dsba.dataset import Sample
+from dsba.algorithms import extra_round, local_mean_operator
+from dsba.operators import COUNTERS, eval_component, reset_counters
 from dsba.simulator import (
     ConfigError,
     MetricsLog,
@@ -74,14 +75,11 @@ def test_objective_minimized_at_reference():
 
 
 def test_auc_score_perfect_and_reversed():
-    samples = [
-        Sample(np.array([0]), np.array([1.0]), 1.0),
-        Sample(np.array([0]), np.array([2.0]), 1.0),
-        Sample(np.array([0]), np.array([-1.0]), -1.0),
-    ]
+    X = np.array([[1.0], [2.0], [-1.0]])
+    y = np.array([1.0, 1.0, -1.0])
     w = np.array([1.0])
-    assert auc_score(w, samples) == 1.0
-    assert auc_score(-w, samples) == 0.0
+    assert auc_score(w, X, y) == 1.0
+    assert auc_score(-w, X, y) == 0.0
 
 
 def test_build_problem_rejects_bad_labels():
@@ -226,3 +224,115 @@ def test_stop_subopt_early_exit():
     result = run(cfg)
     assert result.metrics.final.subopt <= 1e-4
     assert result.metrics.final.round < 100000
+
+
+LIBSVM_TINY = """\
+0.5 1:0.3 2:-1.2
+-0.1 2:0.4 4:1.0
+1.2 1:1.0 3:0.5 5:-0.2
+0.0 3:2.0
+-0.7 1:-0.5 4:0.6
+0.3 2:0.8 5:1.1
+0.9 1:0.2 3:-0.3 4:0.9
+-1.1 5:1.4
+0.4 1:1.5 2:0.1
+-0.2 3:0.7 7:0.6
+"""
+
+
+def _unequal_problem(family, nnz):
+    # 23 samples on 4 nodes: shard sizes 6, 6, 6, 5
+    kind = "ridge" if family == "ridge" else "classification"
+    spec = _spec(kind=kind, d=9, n_samples=23, nnz=nnz, seed=1)
+    shards = partition(synthetic_samples(spec), 4, seed=0, d=9)
+    return build_problem(shards, family, lam=0.07)
+
+
+def _per_sample_mean(ops, z, lam):
+    """Oracle: (1/q) sum_i B_i(z) + lam*z from per-sample evaluations."""
+    out = lam * z
+    for op in ops:
+        eval_component(op, z).add_into(out, 1.0 / len(ops))
+    return out
+
+
+@pytest.mark.parametrize("nnz", [None, 3], ids=["dense", "sparse"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_batched_operators_match_per_sample_oracle(family, nnz):
+    problem = _unequal_problem(family, nnz)
+    lam = problem.lam
+    rng = np.random.default_rng(0)
+    Z = rng.standard_normal((4, problem.dim))
+    reset_counters()
+    G = local_mean_operator(problem.samples, Z, lam)
+    assert COUNTERS["component_evals"] == 23
+    for n, ops in enumerate(problem.ops):
+        assert np.max(np.abs(G[n] - _per_sample_mean(ops, Z[n], lam))) <= 1e-12
+
+    z = Z[0]
+    expect = sum(_per_sample_mean(ops, z, lam) for ops in problem.ops)
+    assert np.max(np.abs(global_operator(problem)(z) - expect)) <= 1e-12
+    if family == "auc":
+        return
+    if family == "ridge":
+        def loss(m, y):
+            return 0.5 * (m - y) ** 2
+    else:
+        def loss(m, y):
+            return np.logaddexp(0.0, -y * m)
+    f = sum(sum(loss(op.sample.values @ z[op.sample.indices], op.sample.label)
+                for op in ops) / len(ops) for ops in problem.ops)
+    f += 0.5 * 4 * lam * float(z @ z)
+    assert abs(objective(problem, z) - f) <= 1e-12 * max(1.0, abs(f))
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_extra_engine_matches_per_sample_loop(family):
+    kind = "ridge" if family == "ridge" else "classification"
+    spec = _spec(kind=kind, d=9, n_samples=23, nnz=4, seed=2)
+    result = run(RunConfig(family=family, variant="extra", n_nodes=4,
+                           topology="ring", synthetic=spec, rounds=200, seed=0,
+                           compute_score=False))
+    problem, mix = result.problem, result.mix
+
+    def G_of(Z):
+        return np.stack([_per_sample_mean(ops, Z[n], problem.lam)
+                         for n, ops in enumerate(problem.ops)])
+
+    Z = np.zeros((4, problem.dim))
+    G = G_of(Z)
+    Zp, Gp = Z, G
+    for t in range(200):
+        Znew = extra_round(Z, Zp, G, Gp, mix.W, mix.Wt, result.alpha, t)
+        Zp, Z = Z, Znew
+        Gp, G = G, G_of(Z)
+    assert np.max(np.abs(result.z_final - Z)) <= 1e-10
+
+
+@pytest.mark.parametrize("variant", ["dsba", "extra"])
+def test_run_on_libsvm_file(tmp_path, variant):
+    path = tmp_path / "tiny.libsvm"
+    path.write_text(LIBSVM_TINY)
+    result = run(RunConfig(family="ridge", variant=variant, dataset_path=str(path),
+                           n_nodes=3, topology="ring", rounds=200, seed=0))
+    # d comes from the largest index in the file
+    assert result.problem.samples.X.shape == (10, 7)
+    assert result.z_star_residual <= 1e-10
+    assert result.metrics.final.subopt < result.metrics.rows[0].subopt
+
+
+def test_run_counters_reset_per_run():
+    cfg = RunConfig(synthetic=_spec(), n_nodes=3, topology="ring", rounds=30,
+                    seed=1)
+    first = run(cfg).manifest["counters"]
+    assert first["component_evals"] > 0
+    assert run(cfg).manifest["counters"] == first
+
+
+def test_dense_dsba_counts_one_resolve_per_node_round():
+    common = dict(synthetic=_spec(), n_nodes=4, topology="ring", rounds=30, seed=1)
+    fast = run(RunConfig(engine="auto", **common)).manifest
+    generic = run(RunConfig(engine="generic", **common)).manifest
+    assert (fast["engine"], generic["engine"]) == ("fast", "generic")
+    assert generic["counters"]["resolves"] == 4 * 30
+    assert fast["counters"] == generic["counters"]
