@@ -22,7 +22,7 @@ from .algorithms import (NodeState, dsa_node_step, dsba_node_step, extra_round,
                          local_mean_operator, make_node, step_size_bound)
 from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
                         lipschitz_bound, make_operator, reset_counters)
-from .sparsecomm import Network, RelaySchedule, run_sparse
+from .sparsecomm import Network, RelaySchedule, bootstrap_rounds, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
 VARIANTS = ("dsba", "dsa", "extra", "pointsaga")
@@ -189,21 +189,32 @@ def objective(problem: Problem, z: np.ndarray) -> float:
     return float(S.weight @ loss) + reg
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each group of tied values given the mean of the
+    ranks it spans."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_score(w: np.ndarray, X, labels: np.ndarray) -> float:
     """Pairwise ranking score of the linear scorer w on the rows of X
     (dense or sparse) with labels +-1, ties counted 1/2.
 
-    Computed by rank statistics in O(Q log Q)."""
-    # imported here: scipy.stats adds ~45 MB to every process that loads it
-    from scipy.stats import rankdata
-
+    Computed by rank statistics in O(Q log Q); NaN when a score is NaN."""
     scores = X @ w
     labels = np.asarray(labels)
     n_pos = int(np.sum(labels > 0))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ConfigError("auc_score needs both classes")
-    ranks = rankdata(scores)
+    if np.isnan(scores).any():
+        return float("nan")
+    ranks = average_ranks(scores)
     pos_rank_sum = float(ranks[labels > 0].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -629,6 +640,8 @@ def run(config: RunConfig) -> RunResult:
         "counters": dict(COUNTERS),
         "numpy": np.__version__,
     }
+    if net is not None:
+        manifest["traffic"] = traffic_summary(net, bootstrap_rounds(mix))
     return RunResult(
         config=config, metrics=metrics, z_final=Z_final, z_star=z_star,
         z_star_residual=z_resid, alpha=alpha, lam=lam, mix=mix, problem=problem,
@@ -638,6 +651,18 @@ def run(config: RunConfig) -> RunResult:
         comm_per_round=net.round_values if net is not None else None,
         received_doubles=net.received_doubles() if net is not None else None,
     )
+
+
+def traffic_summary(net: Network, warmup: int) -> dict:
+    """Per-node doubles a sparse run received, by kind, and the largest
+    payload any node received in one round after the dense warm-up."""
+    return {
+        "payload_values": net.value_doubles.tolist(),
+        "metadata": net.metadata_doubles.tolist(),
+        "dense_warmup": net.broadcast_doubles.tolist(),
+        "max_round_payload": max((int(v.max()) for t, v in net.round_values.items()
+                                  if t > warmup), default=0),
+    }
 
 
 def manifest_json(result: RunResult) -> str:

@@ -215,26 +215,3 @@ def check_mixing_conditions(mix: MixingMatrix, tol: float = 1e-10) -> dict:
         "spectrum_W": ok_spectrum,
         "spectrum_Wt": ok_spectrum_t,
     }
-
-
-def relay_parents(A: np.ndarray) -> np.ndarray:
-    """Deterministic shortest-path forwarding table.
-
-    parents[o, u] is the neighbor of u on a shortest path from origin o,
-    choosing the smallest-index candidate; parents[o, o] = -1. Every node
-    therefore receives each origin's broadcast exactly once per round it was
-    emitted, after exactly d(o, u) hops.
-    """
-    A = check_adjacency(A)
-    D = bfs_distances(A)
-    n = len(A)
-    parents = -np.ones((n, n), dtype=np.int64)
-    for o in range(n):
-        for u in range(n):
-            if u == o:
-                continue
-            cands = np.flatnonzero(A[u] * (D[o] == D[o, u] - 1))
-            if len(cands) == 0:
-                raise TopologyError("graph must be connected")
-            parents[o, u] = int(cands[0])
-    return parents

@@ -425,7 +425,15 @@ def test_dense_communication_exact():
 
 
 def test_sparse_communication_savings():
-    N, d, nnz = 10, 200, 10
+    _check_sparse_communication_savings(N=10)
+
+
+def test_sparse_communication_savings_at_50_nodes():
+    _check_sparse_communication_savings(N=50)
+
+
+def _check_sparse_communication_savings(N):
+    d, nnz = 200, 10
     rho = nnz / d  # 0.05
     spec = SyntheticSpec(kind="ridge", d=d, n_samples=N * 20, nnz=nnz, noise=0.1, seed=7)
     rounds = 200

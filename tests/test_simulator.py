@@ -12,6 +12,7 @@ from dsba.simulator import (
     RunConfig,
     SyntheticSpec,
     auc_score,
+    average_ranks,
     build_problem,
     global_operator,
     manifest_json,
@@ -80,6 +81,25 @@ def test_auc_score_perfect_and_reversed():
     w = np.array([1.0])
     assert auc_score(w, X, y) == 1.0
     assert auc_score(-w, X, y) == 0.0
+
+
+def test_average_ranks_match_scipy_with_ties():
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(3)
+    for n, levels in [(1, 1), (2, 1), (7, 2), (300, 5), (1000, 40)]:
+        x = rng.integers(levels, size=n).astype(np.float64)
+        assert np.array_equal(average_ranks(x), rankdata(x))
+    x = rng.standard_normal(200)
+    assert np.array_equal(average_ranks(x), rankdata(x))
+
+
+def test_auc_score_ties_count_half_and_nan_propagates():
+    X = np.array([[1.0], [1.0], [0.0], [1.0]])
+    y = np.array([1.0, -1.0, -1.0, 1.0])
+    # positives beat the 0.0 negative and tie the 1.0 one: (2 + 2 * 0.5) / 4
+    assert auc_score(np.array([1.0]), X, y) == 0.75
+    assert np.isnan(auc_score(np.array([np.nan]), X, y))
 
 
 def test_build_problem_rejects_bad_labels():
@@ -204,6 +224,42 @@ def test_sparse_run_matches_dense_end_to_end():
     z_dense = run(RunConfig(comm="dense", **common)).z_final
     z_sparse = run(RunConfig(comm="sparse", **common)).z_final
     assert np.max(np.abs(z_dense - z_sparse)) < 1e-10
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("topology,n_nodes", [("star", 6), ("path", 8), ("random", 20)])
+def test_sparse_matches_dense_with_mixed_eccentricities(variant, topology, n_nodes):
+    # observers of one graph hold memories of different depths
+    common = dict(family="ridge", variant=variant, engine="generic", n_nodes=n_nodes,
+                  topology=topology, edge_prob=0.2,
+                  synthetic=_spec(d=12, n_samples=6 * n_nodes, nnz=4), lam=0.05,
+                  rounds=120, seed=9, compute_score=False)
+    dense = run(RunConfig(comm="dense", **common))
+    sparse = run(RunConfig(comm="sparse", **common))
+    assert len(set(sparse.mix.eccentricities.tolist())) > 1
+    assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
+
+
+def test_sparse_manifest_summarises_traffic():
+    from dsba.sparsecomm import bootstrap_rounds
+
+    common = dict(family="ridge", variant="dsba", engine="generic", n_nodes=5,
+                  topology="path", synthetic=_spec(d=12, n_samples=30, nnz=3),
+                  lam=0.05, rounds=40, seed=1)
+    res = run(RunConfig(comm="sparse", **common))
+    traffic = res.manifest["traffic"]
+    payload = np.array(traffic["payload_values"])
+    assert np.array_equal(payload + traffic["dense_warmup"], res.received_doubles)
+    assert np.array_equal(payload, sum(res.comm_per_round.values()))
+    # every packet carries as many indices as values, plus two tags
+    tags = np.array(traffic["metadata"]) - payload
+    assert np.all(tags > 0) and np.all(tags % 2 == 0)
+    boot = bootstrap_rounds(res.mix)
+    assert traffic["max_round_payload"] == max(
+        int(v.max()) for t, v in res.comm_per_round.items() if t > boot)
+    assert traffic["max_round_payload"] > 0
+    assert "traffic" not in run(RunConfig(comm="dense", **common)).manifest
+    json.loads(manifest_json(res))
 
 
 def test_lyapunov_tracked_rounds():

@@ -6,14 +6,16 @@ from dsba.dataset import Sample
 from dsba.operators import make_operator
 from dsba.sparse import SparseVec
 from dsba.sparsecomm import (
+    DeltaBlocks,
     DeltaPacket,
     Network,
+    ObserverMemory,
     ProtocolError,
     RelaySchedule,
     bootstrap_rounds,
     run_sparse,
 )
-from dsba.topology import bfs_distances, build_mixing, make_adjacency
+from dsba.topology import TopologyError, bfs_distances, build_mixing, make_adjacency
 
 
 def _packet(origin, rnd, nnz=3, dim=10):
@@ -36,9 +38,16 @@ def test_schedule_delays_match_bfs():
             assert sch.delay(o, u) == D[o, u]
 
 
+def test_schedule_rejects_disconnected_graph():
+    A = np.zeros((4, 4))
+    A[0, 1] = A[1, 0] = A[2, 3] = A[3, 2] = 1.0
+    with pytest.raises(TopologyError):
+        RelaySchedule(A)
+
+
 def test_network_delivers_once_per_destination():
     A = make_adjacency("path", 4)
-    net = Network(RelaySchedule(A), trace=True)
+    net = Network(RelaySchedule(A))
     net.broadcast(_packet(0, 0))
     seen = {}
     for t in range(0, 5):
@@ -143,3 +152,88 @@ def test_run_sparse_on_round_early_stop():
 
     run_sparse(states, mix, 100, variant="dsba", on_round=on_round)
     assert calls[-1] == 10
+
+
+class _Withholding(Network):
+    """Drops packet (origin, round) on its way to one destination."""
+
+    def __init__(self, schedule, origin, rnd, dest):
+        super().__init__(schedule)
+        self.drop = (origin, rnd, dest)
+
+    def deliver(self, t):
+        inboxes = super().deliver(t)
+        origin, rnd, dest = self.drop
+        inboxes[dest] = [p for p in inboxes[dest] if (p.origin, p.round) != (origin, rnd)]
+        return inboxes
+
+
+@pytest.mark.parametrize("origin,dest", [(0, 3), (2, 1), (3, 2)])
+def test_observer_needs_every_delta_it_reads(origin, dest):
+    mix = build_mixing(make_adjacency("path", 4))
+    states, _, _, _ = _make_states(mix, d=8, q=4)
+    rnd = bootstrap_rounds(mix) + 4
+    net = _Withholding(RelaySchedule(mix.adjacency), origin, rnd, dest)
+    done = []
+
+    def on_round(t, Z):
+        done.append(t)
+
+    with pytest.raises(ProtocolError, match=f"observer {dest} missing delta "
+                                            f"\\(origin={origin}, round={rnd}\\)"):
+        run_sparse(states, mix, 60, variant="dsba", on_round=on_round, net=net)
+    # the observer first reads the delta in the round the packet was due
+    assert done[-1] == rnd + mix.distances[origin, dest] - 1
+
+
+def test_observer_rejects_gap_and_repeat():
+    mix = build_mixing(make_adjacency("ring", 4))
+    blocks = DeltaBlocks(np.full(4, 3), dim=10, depth=3)
+    obs = ObserverMemory(0, mix, blocks, alpha=0.1, lam=0.1, variant="dsba")
+    obs.absorb([_packet(1, 0), _packet(2, 0)])
+    with pytest.raises(ProtocolError, match="round=0.* after round 0"):
+        obs.absorb([_packet(1, 0)])
+    with pytest.raises(ProtocolError, match="round=2.* after round 0"):
+        obs.absorb([_packet(2, 2)])
+    assert obs.heard == [-1, 0, 0, -1]
+
+
+class _Recording(Network):
+    """Keeps every packet sent and every inbox delivered."""
+
+    def __init__(self, schedule):
+        super().__init__(schedule)
+        self.sent, self.inboxes = [], {}
+
+    def broadcast(self, packet):
+        self.sent.append(packet)
+        super().broadcast(packet)
+
+    def deliver(self, t):
+        self.inboxes[t] = super().deliver(t)
+        return self.inboxes[t]
+
+
+def test_network_accounting_matches_per_packet_oracle():
+    # packet by packet: (o, s) reaches every u != o at round s + dist(o, u)
+    mix = build_mixing(make_adjacency("erdos_renyi", 7, p=0.4, seed=2))
+    states, _, _, _ = _make_states(mix, d=12, q=5)
+    net = _Recording(RelaySchedule(mix.adjacency))
+    run_sparse(states, mix, 30, variant="dsa", net=net)
+    last = max(net.inboxes)
+    values = {t: np.zeros(mix.n, dtype=np.int64) for t in net.inboxes}
+    metadata = np.zeros(mix.n, dtype=np.int64)
+    arrivals = {t: [set() for _ in range(mix.n)] for t in net.inboxes}
+    for p in net.sent:
+        for u in range(mix.n):
+            t = p.round + mix.distances[p.origin, u]
+            if u != p.origin and t <= last:
+                values[t][u] += p.value_doubles
+                metadata[u] += p.metadata_doubles
+                arrivals[t][u].add((p.origin, p.round))
+    for t, inboxes in net.inboxes.items():
+        assert np.array_equal(net.round_values[t], values[t])
+        assert [sorted((p.origin, p.round) for p in box) for box in inboxes] \
+            == [sorted(a) for a in arrivals[t]]
+    assert np.array_equal(net.value_doubles, sum(values.values()))
+    assert np.array_equal(net.metadata_doubles, metadata)

@@ -11,7 +11,6 @@ from dsba.topology import (
     is_connected,
     laplacian,
     make_adjacency,
-    relay_parents,
 )
 
 
@@ -100,20 +99,6 @@ def test_mixing_rejects_disconnected():
     A[2, 3] = A[3, 2] = 1.0
     with pytest.raises(TopologyError):
         build_mixing(A)
-
-
-def test_relay_parents_are_bfs_optimal():
-    A = make_adjacency("erdos_renyi", 8, p=0.4, seed=3)
-    D = bfs_distances(A)
-    parents = relay_parents(A)
-    n = len(A)
-    for origin in range(n):
-        for node in range(n):
-            if node == origin:
-                continue
-            par = parents[origin, node]
-            assert A[node, par] == 1
-            assert D[origin, par] == D[origin, node] - 1
 
 
 def test_eccentricity_and_diameter():
