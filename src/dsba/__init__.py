@@ -18,8 +18,7 @@ from .simulator import (MetricsLog, Problem, RunConfig, RunResult,
                         reference_solution, run, synthetic_samples)
 from .sparse import SparseVec
 from .sparsecomm import DeltaPacket, Network, ObserverMemory, RelaySchedule, run_sparse
-from .topology import (Graph, MixingMatrix, build_mixing,
-                       check_mixing_conditions, gen_random_graph,
+from .topology import (MixingMatrix, build_mixing, check_mixing_conditions,
                        make_adjacency)
 
 __version__ = "0.1.0"

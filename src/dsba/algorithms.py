@@ -182,14 +182,22 @@ def local_mean_operator(samples: SampleMatrix, Z: np.ndarray, lam: float) -> np.
     outputs are summed over each node's rows.
     """
     Z = np.asarray(Z, dtype=np.float64)
-    N, d = Z.shape[0], samples.d
+    d = samples.d
     tail = Z[samples.row_node, d:] if samples.family == "auc" else None
     coef, tails = samples.row_terms(samples.Xb @ Z[:, :d].ravel(), tail)
-    out = lam * Z
-    out[:, :d] += (samples.XbT @ (samples.weight * coef)).reshape(N, d)
+    return lam * Z + node_means(samples, coef, tails)
+
+
+def node_means(samples: SampleMatrix, coef: np.ndarray,
+               tails: np.ndarray | None) -> np.ndarray:
+    """Per-node means (N, dim) of the rows c_i x_i, with auc's tail block
+    in the last three columns."""
+    N, d = len(samples.starts), samples.d
+    out = np.zeros((N, d if tails is None else d + 3))
+    out[:, :d] = (samples.XbT @ (samples.weight * coef)).reshape(N, d)
     if tails is not None:
-        out[:, d:] += np.add.reduceat(samples.weight[:, None] * tails,
-                                      samples.starts, axis=0)
+        out[:, d:] = np.add.reduceat(samples.weight[:, None] * tails,
+                                     samples.starts, axis=0)
     return out
 
 

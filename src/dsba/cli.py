@@ -22,8 +22,8 @@ from .operators import (eval_component, eval_operator, make_operator,
                         resolve_regularized)
 from .simulator import (ConfigError, RunConfig, SyntheticSpec, manifest_json,
                         run)
-from .topology import (TopologyError, build_mixing, check_mixing_conditions,
-                       gen_random_graph)
+from .topology import (TopologyError, adjacency_erdos_renyi, build_mixing,
+                       check_mixing_conditions)
 
 EXIT_OK = 0
 EXIT_VALIDATE = 1
@@ -147,7 +147,7 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     # mixing-matrix conditions across a handful of graphs
     ok, detail = True, ""
     for i, (n, p) in enumerate([(4, 0.6), (6, 0.5), (8, 0.4), (10, 0.4), (12, 0.3)]):
-        mix = build_mixing(gen_random_graph(n, p, seed=i))
+        mix = build_mixing(adjacency_erdos_renyi(n, p, seed=i))
         report = check_mixing_conditions(mix)
         if not all(report.values()):
             ok = False

@@ -5,7 +5,11 @@ Three families are supported, each binding one data sample:
 * ridge      — B(z) = (a'z - y) a                     (closed-form resolvent)
 * logistic   — B(z) = -y a / (1 + exp(y a'z))         (1-D Newton resolvent)
 * auc        — convex-concave pairwise-ranking operator on z = [w; a; b; theta],
-               dimension d+3                           (4x4 closed-form resolvent)
+               dimension d+3                           (closed-form resolvent)
+
+Every resolvent reduces to one scalar equation in the output margin a'z_out;
+the kernels below solve it for a batch of rows at once, and the per-sample
+`resolvent` is their one-row case.
 
 The l2 level `lam` is never baked into the family resolvents; it is applied
 through the rescaling identity J_{alpha(B+lam I)}(z) = J_{rho alpha B}(rho z)
@@ -19,7 +23,7 @@ updates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,8 +59,10 @@ class OperatorSpec:
     lam: float
     dim: int
     p: float | None = None  # positive-class ratio, auc only
+    na2: float = field(init=False, repr=False)  # squared sample norm
 
     def __post_init__(self):
+        self.na2 = float(self.sample.values @ self.sample.values)
         if self.family not in FAMILIES:
             raise OperatorError(f"unknown family {self.family!r}")
         if self.family == "auc":
@@ -163,8 +169,9 @@ class SampleMatrix:
     def d(self) -> int:
         return self.X.shape[1]
 
-    def row_terms(self, m: np.ndarray, tail: np.ndarray | None):
-        """Every row's component output at its margin m_i = x_i . w.
+    def row_terms(self, m: np.ndarray, tail: np.ndarray | None, rows=None):
+        """Every row's component output at its margin m_i = x_i . w, or
+        only the given `rows`' (m and tail then follow `rows`).
 
         B_i = c_i x_i, plus for auc three outputs at coordinates d..d+2
         that read (a, b, theta) from `tail`, given per row (Q x 3) or shared
@@ -172,7 +179,7 @@ class SampleMatrix:
         one component evaluation per row.
         """
         COUNTERS["component_evals"] += len(m)
-        y = self.y
+        y = self.y if rows is None else self.y[rows]
         if self.family == "ridge":
             return m - y, None
         if self.family == "logistic":
@@ -196,117 +203,87 @@ def eval_operator(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def resolvent_ridge(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:
-    _check_dim(op, psi)
-    s = op.sample
-    na2 = float(s.values @ s.values)
-    sc = (s.values @ psi[s.indices] + alpha * na2 * s.label) / (1.0 + alpha * na2)
-    out = psi.copy()
-    out[s.indices] -= alpha * (sc - s.label) * s.values
-    return out
+def kernel_ridge(m, na2, y, alpha):
+    """Ridge resolvent in margin form: s = a'z_out solves
+    s + alpha*||a||^2 (s - y) = m, and the output coefficient is s - y."""
+    return (m + alpha * na2 * y) / (1.0 + alpha * na2) - y
 
 
-def resolvent_logistic(op: OperatorSpec, alpha: float, psi: np.ndarray,
-                       newton_iters: int = 20) -> np.ndarray:
-    """Resolvent via the scalar equation t + alpha*||a||^2*e(t) = a'psi,
-    e(t) = -y / (1 + exp(y t)), solved by Newton from t=0."""
-    _check_dim(op, psi)
+def kernel_logistic(m, na2, y, alpha, newton_iters=20):
+    """Logistic resolvent in margin form: t = a'z_out solves
+    g(t) = t + c*e(t) - m = 0 with c = alpha*||a||^2 and
+    e(t) = -y / (1 + exp(y t)), the output coefficient.
+
+    Newton from t = 0, at most `newton_iters` steps, until every step is
+    below 1e-14; g' >= 1, so the steps stay finite. A row left with a
+    residual above 1e-9 is bisected instead (g is strictly increasing)."""
     if newton_iters < 1:
         raise OperatorError("newton_iters must be >= 1")
-    s = op.sample
-    y = s.label
-    na2 = float(s.values @ s.values)
-    b = float(s.values @ psi[s.indices])
+    m, na2, y = np.broadcast_arrays(m, na2, y)
     c = alpha * na2
-    t = 0.0
-    ok = False
+    cy = c * y
+    t = np.zeros(m.shape)
     for _ in range(newton_iters):
-        e = -y * expit(-y * t)
-        denom = 1.0 - c * (y * e + e * e)
-        step = (c * e + t - b) / denom
-        t2 = t - step
-        if not np.isfinite(t2):
-            ok = False
-            break
-        done = abs(t2 - t) < 1e-14
+        sg = expit(-y * t)
+        t2 = t - (t - m - cy * sg) / (1.0 + c * sg * (1.0 - sg))
+        small = np.abs(t2 - t) < 1e-14
         t = t2
-        if done:
-            ok = True
+        if small.all():
             break
-    if not np.isfinite(t) or (not ok and abs(c * (-y * expit(-y * t)) + t - b) > 1e-9):
-        # g(t) = t + c*e(t) - b is strictly increasing; bisection always works
-        lo, hi = b - abs(c) - 1.0, b + abs(c) + 1.0
+    bad = ~(np.abs(t - m - cy * expit(-y * t)) <= 1e-9)
+    if bad.any():
+        lo, hi = m - np.abs(c) - 1.0, m + np.abs(c) + 1.0
         for _ in range(60):
-            t = 0.5 * (lo + hi)
-            if t + c * (-y * expit(-y * t)) - b < 0.0:
-                lo = t
-            else:
-                hi = t
-        t = 0.5 * (lo + hi)
-    e = -y * expit(-y * t)
-    out = psi.copy()
-    out[s.indices] -= alpha * e * s.values
-    return out
+            mid = 0.5 * (lo + hi)
+            below = mid - m - cy * expit(-y * mid) < 0.0
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        t = np.where(bad, 0.5 * (lo + hi), t)
+    return -y * expit(-y * t)
 
 
-def _solve4(A, b):
-    """Gaussian elimination with partial pivoting on a 4x4 system."""
-    A = A.copy()
-    b = b.copy()
-    n = 4
-    for col in range(n):
-        piv = col + int(np.argmax(np.abs(A[col:, col])))
-        if abs(A[piv, col]) < 1e-300:
-            raise OperatorError("singular 4x4 resolvent system")
-        if piv != col:
-            A[[col, piv]] = A[[piv, col]]
-            b[[col, piv]] = b[[piv, col]]
-        for row in range(col + 1, n):
-            f = A[row, col] / A[col, col]
-            A[row, col:] -= f * A[col, col:]
-            b[row] -= f * b[col]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - A[row, row + 1:] @ x[row + 1:]) / A[row, row]
-    return x
+def kernel_auc(m, na2, y, alpha, tail, p):
+    """AUC resolvent in margin form, z = [w; a; b; theta].
+
+    With s = a'w_out, c = 2(1-p) (y = +1) or 2p (y = -1), g = c*alpha,
+    h = 2p(1-p)*alpha and o the sample's offset (a for y = +1, b for
+    y = -1), the fixed point gives o_out = (o + g s)/(1+g),
+    theta_out = (theta - y g s)/(1+h), the other offset unchanged, and one
+    scalar equation s K = m + g||a||^2 (o/(1+g) + y (1 + theta/(1+h)))
+    with K = 1 + g||a||^2/(1+g) + g^2||a||^2/(1+h) >= 1. Returns the
+    output coefficient c((s - o_out) - y(1 + theta_out)) and the output
+    tail (rows x 3)."""
+    pos = np.asarray(y) > 0
+    c = np.where(pos, 2.0 * (1 - p), 2.0 * p)
+    g, h = c * alpha, 2.0 * p * (1 - p) * alpha
+    tail = np.asarray(tail, dtype=np.float64)
+    o = np.where(pos, tail[..., 0], tail[..., 1])
+    theta = tail[..., 2]
+    gn = g * na2
+    K = 1.0 + gn / (1.0 + g) + g * gn / (1.0 + h)
+    s = (m + gn * (o / (1.0 + g) + y * (1.0 + theta / (1.0 + h)))) / K
+    o_out = (o + g * s) / (1.0 + g)
+    theta_out = (theta - y * g * s) / (1.0 + h)
+    out = tail.copy()
+    out[..., 0] = np.where(pos, o_out, tail[..., 0])
+    out[..., 1] = np.where(pos, tail[..., 1], o_out)
+    out[..., 2] = theta_out
+    return c * ((s - o_out) - y * (1.0 + theta_out)), out
 
 
-def resolvent_auc(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:
-    """Closed-form resolvent: the fixed point reduces to a 4x4 linear system
-    in (a'w_out, a_out, b_out, theta_out)."""
-    _check_dim(op, psi)
-    s = op.sample
-    d = op.d_features
-    p = op.p
-    na2 = float(s.values @ s.values)
-    sw = float(s.values @ psi[s.indices])
-    a_off, b_off, theta = psi[d], psi[d + 1], psi[d + 2]
-    if s.label > 0:
-        g = 2.0 * (1 - p) * alpha
-        A = np.array([
-            [1 + g * na2, -g * na2, 0.0, -g * na2],
-            [-g, 1 + g, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [g, 0.0, 0.0, 1 + 2 * p * (1 - p) * alpha],
-        ])
-        rhs = np.array([sw + g * na2, a_off, b_off, theta])
-        sc, ar, br, tr = _solve4(A, rhs)
-        coef = 2.0 * (1 - p) * ((sc - ar) - (1 + tr))
-    else:
-        g = 2.0 * p * alpha
-        A = np.array([
-            [1 + g * na2, 0.0, -g * na2, g * na2],
-            [0.0, 1.0, 0.0, 0.0],
-            [-g, 0.0, 1 + g, 0.0],
-            [-g, 0.0, 0.0, 1 + 2 * p * (1 - p) * alpha],
-        ])
-        rhs = np.array([sw - g * na2, a_off, b_off, theta])
-        sc, ar, br, tr = _solve4(A, rhs)
-        coef = 2.0 * p * ((sc - br) + (1 + tr))
-    out = psi.copy()
-    out[s.indices] -= alpha * coef * s.values
-    out[d], out[d + 1], out[d + 2] = ar, br, tr
-    return out
+def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
+                    p: float | None = None, newton_iters: int = 20):
+    """J_{alpha B}(psi) for single-sample operators, one per row, from the
+    margins m = a'psi, the squared row norms and the labels (auc also
+    reads psi's tail). The output is psi - alpha*e*a on the features and,
+    for auc, the returned tail on the last three coordinates.
+
+    Returns (e, tail or None). The batched engine calls this on a whole
+    round; `resolvent` is its one-row case."""
+    if family == "ridge":
+        return kernel_ridge(m, na2, y, alpha), None
+    if family == "logistic":
+        return kernel_logistic(m, na2, y, alpha, newton_iters), None
+    return kernel_auc(m, na2, y, alpha, tail, p)
 
 
 def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray,
@@ -314,12 +291,16 @@ def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray,
     """Resolvent of the unregularized family operator, J_{alpha B}(psi)."""
     if alpha <= 0:
         raise OperatorError("alpha must be positive")
+    _check_dim(op, psi)
     COUNTERS["resolves"] += 1
-    if op.family == "ridge":
-        return resolvent_ridge(op, alpha, psi)
-    if op.family == "logistic":
-        return resolvent_logistic(op, alpha, psi, newton_iters)
-    return resolvent_auc(op, alpha, psi)
+    s, d = op.sample, op.d_features
+    e, tail = resolve_margins(op.family, float(s.values @ psi[s.indices]), op.na2,
+                              s.label, alpha, psi[d:], op.p, newton_iters)
+    out = psi.copy()
+    out[s.indices] -= alpha * e * s.values
+    if tail is not None:
+        out[d:] = tail
+    return out
 
 
 def wrap_l2_resolvent(resolvent_of_b, lam: float, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -346,8 +327,7 @@ def lipschitz_bound(op: OperatorSpec) -> float:
     linear part acts only on span{a/||a||, the sample's offset, theta}, so
     its norm is the spectral norm of a 3x3 matrix in that basis.
     """
-    s = op.sample
-    na2 = float(s.values @ s.values)
+    s, na2 = op.sample, op.na2
     if op.family == "ridge":
         return na2 + op.lam
     if op.family == "logistic":

@@ -19,9 +19,11 @@ from scipy.special import expit
 
 from . import dataset as ds
 from .algorithms import (NodeState, dsa_node_step, dsba_node_step, extra_round,
-                         local_mean_operator, make_node, step_size_bound)
+                         local_mean_operator, make_node, node_means,
+                         step_size_bound)
 from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
-                        lipschitz_bound, make_operator, reset_counters)
+                        lipschitz_bound, make_operator, reset_counters,
+                        resolve_margins)
 from .sparsecomm import Network, RelaySchedule, bootstrap_rounds, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
@@ -265,6 +267,14 @@ class RunConfig:
             raise ConfigError("exactly one of synthetic or dataset_path is required")
         if self.newton_iters < 1:
             raise ConfigError("newton_iters must be >= 1")
+        if self.alpha is not None and not 0.0 < self.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
+        if self.lam is not None and not 0.0 <= self.lam < np.inf:
+            raise ConfigError("lambda must be nonnegative and finite")
+        if self.metric_every is not None and self.metric_every < 1:
+            raise ConfigError("metric_every must be >= 1")
+        if self.lyapunov_every < 1:
+            raise ConfigError("lyapunov_every must be >= 1")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
         if self.n_nodes < 1:
@@ -420,78 +430,80 @@ def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
     return Z
 
 
-def _run_fast_ridge(problem: Problem, mix: MixingMatrix, rounds: int,
-                    alpha: float, seed: int, z0: np.ndarray, variant: str,
-                    on_round) -> np.ndarray:
-    """Vectorized dense engine for ridge: one numpy round over all nodes.
+def _run_batched(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
+                 seed: int, z0: np.ndarray, variant: str, newton_iters: int,
+                 on_round) -> np.ndarray:
+    """Vectorized dense engine for dsba and dsa on every family: one float64
+    numpy round over all nodes.
 
-    Follows the same per-node rng streams and update order as the generic
-    engine.  The whole round is computed in extended precision with a mixing
-    matrix rebuilt from the integer Laplacian, so that its row sums hold to
-    extended accuracy: a 1e-16 row-sum defect acts as a constant forcing on
-    the weakly damped consensus direction and grows linearly with the round
-    count, capping the attainable suboptimality orders of magnitude above
-    the extended-precision floor. The operator counters advance as the
-    generic engine's would: one component evaluation per table entry at
-    the start, one per node and round, plus one resolvent for dsba."""
-    f = np.longdouble
-    N, d, lam = problem.n_nodes, problem.dim, f(problem.lam)
-    q = problem.shards.q_min
-    X = problem.samples.X.toarray().reshape(N, q, d).astype(f)
-    Y = problem.samples.y.reshape(N, q).astype(f)
-    na2 = np.einsum("nqd,nqd->nq", X, X)
-    deg = mix.adjacency.sum(axis=1)
-    Lap = (np.diag(deg) - mix.adjacency).astype(f)
-    W = np.eye(N, dtype=f) - Lap / f(mix.tau)
-    Wt = (W + np.eye(N, dtype=f)) / 2.0
-    al = f(alpha)
+    It runs the generic engine's recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-)
+    (V the variance-reduced estimate, W Z at round 0) in primal-dual form.
+    Each round computes Wt Z once and the dual S^t = S^{t-1} + (Z - Wt Z),
+    S^{-1} = 0; then
+      dsba: psi = Wt Z - S + alpha (phi_i - phibar),
+            Z+ = J_{alpha (B_i + lam I)}(psi) row-wise;
+      dsa:  Z+ = Wt Z - S - alpha V, V = B_i(Z) - phi_i + phibar + lam Z.
+    Summing the recurrence over rounds gives exactly this form. The node
+    mean of S is zero in exact arithmetic, so it is subtracted after each
+    update: rounding then cannot pile up along the consensus direction,
+    where the float64 mixing form drifts linearly with the round count.
+
+    A table entry phi_i is a coefficient times the sample row (plus three
+    tail values for auc), so the table is one coefficient per sample. The
+    engine follows the generic engine's per-node rng streams, and advances
+    the operator counters as it would."""
+    samples, family = problem.samples, problem.family
+    N, d, lam = problem.n_nodes, samples.d, problem.lam
+    X = samples.X.toarray()
+    na2 = np.einsum("ij,ij->i", X, X)
+    sizes = np.bincount(samples.row_node)
+    Z = np.tile(z0, (N, 1))
+    auc = family == "auc"
+    coef, tails = samples.row_terms(samples.Xb @ Z[:, :d].ravel(),
+                                    Z[samples.row_node, d:] if auc else None)
+    phibar = node_means(samples, coef, tails)
+    S = np.zeros_like(Z)
+    # J_{alpha (B + lam I)}(psi) = J_{rho alpha B}(rho psi)
+    rho = 1.0 / (1.0 + lam * alpha)
     rngs = [np.random.default_rng([seed, n]) for n in range(N)]
-    Z = np.tile(z0.astype(f), (N, 1))
-    Zp = Z.copy()
-    # table of scalar coefficients: phi_{n,i} = coef[n,i] * a_{n,i}
-    coef = np.einsum("nqd,d->nq", X, Z[0]) - Y
-    phibar = np.einsum("nq,nqd->nd", coef, X) / q
-    COUNTERS["component_evals"] += N * q
-    dprev = np.zeros((N, d), dtype=f)
-    rho = f(1) / (f(1) + lam * al)
-    aa = rho * al
-    rows = np.arange(N)
+    qs = sizes.tolist()
     for t in range(rounds):
-        i = np.array([rng.integers(q) for rng in rngs])
-        A = X[rows, i]
-        y = Y[rows, i]
-        c = coef[rows, i]
-        n2 = na2[rows, i]
-        mixv = W @ Z if t == 0 else Wt @ (2.0 * Z - Zp)
+        r = samples.starts + np.array([rng.integers(q) for rng, q in zip(rngs, qs)])
+        A = X[r]
+        WZ = mix.Wt @ Z
+        S += Z - WZ
+        S -= S.sum(axis=0) / N
         if variant == "dsba":
-            if t == 0:
-                psi = mixv + al * (c[:, None] * A - phibar)
-            else:
-                psi = (mixv + al * ((q - 1.0) / q * dprev + c[:, None] * A)
-                       + (al * lam) * Z)
-            ps = rho * psi
-            s = (np.einsum("nd,nd->n", ps, A) + aa * n2 * y) / (1.0 + aa * n2)
-            Znew = ps - (aa * (s - y))[:, None] * A
-            newcoef = np.einsum("nd,nd->n", Znew, A) - y
-            delta = (newcoef - c)[:, None] * A
-        else:  # dsa
-            newcoef = np.einsum("nd,nd->n", Z, A) - y
-            delta = (newcoef - c)[:, None] * A
-            if t == 0:
-                Znew = mixv - al * (phibar + lam * Z)
-            else:
-                Znew = (mixv + al * ((q - 1.0) / q * dprev - delta)
-                        - (al * lam) * (Z - Zp))
-        COUNTERS["component_evals"] += N
-        if variant == "dsba":
+            psi = WZ - S - alpha * phibar
+            psi[:, :d] += (alpha * coef[r])[:, None] * A
+            if auc:
+                psi[:, d:] += alpha * tails[r]
+            psi *= rho
+            e, tail = resolve_margins(family, np.einsum("nd,nd->n", psi[:, :d], A),
+                                      na2[r], samples.y[r], rho * alpha,
+                                      psi[:, d:], samples.p, newton_iters)
+            psi[:, :d] -= (rho * alpha * e)[:, None] * A
+            if auc:
+                psi[:, d:] = tail
             COUNTERS["resolves"] += N
-        phibar += delta / q
-        coef[rows, i] = newcoef
-        dprev = delta
-        Zp, Z = Z, Znew
-        if on_round(t, Z.astype(np.float64)):
+            Znew = at = psi
+        else:
+            at = Z
+        new_coef, new_tails = samples.row_terms(np.einsum("nd,nd->n", at[:, :d], A),
+                                                at[:, d:] if auc else None, rows=r)
+        delta = np.zeros_like(Z)
+        delta[:, :d] = (new_coef - coef[r])[:, None] * A
+        if auc:
+            delta[:, d:] = new_tails - tails[r]
+            tails[r] = new_tails
+        if variant == "dsa":
+            Znew = WZ - S - alpha * (delta + phibar + lam * Z)
+        phibar += delta / sizes[:, None]
+        coef[r] = new_coef
+        Z = Znew
+        if on_round(t, Z):
             break
-    return Z.astype(np.float64)
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +519,13 @@ def _load_shards(config: RunConfig) -> ds.Shards:
     return ds.partition(samples, config.n_nodes, config.seed, d=config.synthetic.d)
 
 
-def _pick_engine(config: RunConfig, problem: Problem) -> str:
-    shard_sizes = {len(ops) for ops in problem.ops}
+def _pick_engine(config: RunConfig) -> str:
+    """The engine label: "fast", the batched engine, for dense dsba and dsa
+    under engine = auto; else "generic", the per-node loop that Point-SAGA,
+    sparse runs and Lyapunov tracking (it reads the per-node tables) use,
+    and the label EXTRA's own full-activation loop reports."""
     fast_ok = (config.engine == "auto" and config.comm == "dense"
-               and problem.family == "ridge" and config.variant in ("dsba", "dsa")
-               and len(shard_sizes) == 1 and not config.track_lyapunov)
+               and config.variant in ("dsba", "dsa") and not config.track_lyapunov)
     return "fast" if fast_ok else "generic"
 
 
@@ -599,7 +613,7 @@ def run(config: RunConfig) -> RunResult:
                 return True
         return False
 
-    engine = _pick_engine(config, problem)
+    engine = _pick_engine(config)
 
     def start_states() -> list[NodeState]:
         nonlocal states
@@ -616,8 +630,8 @@ def run(config: RunConfig) -> RunResult:
     elif config.variant == "extra":
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     elif engine == "fast":
-        Z_final = _run_fast_ridge(problem, mix, config.rounds, alpha,
-                                  config.seed, z0, config.variant, on_round)
+        Z_final = _run_batched(problem, mix, config.rounds, alpha, config.seed,
+                               z0, config.variant, config.newton_iters, on_round)
     else:
         Z_final = _run_dense_generic(start_states(), mix, config.rounds,
                                      config.variant, on_round)

@@ -121,23 +121,6 @@ def laplacian(A: np.ndarray) -> np.ndarray:
     return np.diag(A.sum(axis=1)) - A
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected connected graph on nodes 0..n-1."""
-
-    adjacency: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.adjacency)
-
-
-def gen_random_graph(n_nodes: int, edge_prob: float, seed: int) -> Graph:
-    if n_nodes < 1:
-        raise TopologyError("need at least one node")
-    return Graph(adjacency_erdos_renyi(n_nodes, edge_prob, seed))
-
-
 @dataclass
 class MixingMatrix:
     """Gossip matrix pair for a connected graph."""
@@ -165,8 +148,6 @@ class MixingMatrix:
 def build_mixing(A, tau: float | None = None) -> MixingMatrix:
     """W = I - L/tau. By default tau = lambda_max(L), which makes W psd while
     keeping the required null-space and sparsity structure."""
-    if isinstance(A, Graph):
-        A = A.adjacency
     A = check_adjacency(A)
     if len(A) == 1:
         one = np.ones((1, 1))

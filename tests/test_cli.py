@@ -165,6 +165,12 @@ def test_invalid_newton_iters_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_negative_alpha_flag_is_config_error(tmp_path, ini, capsys):
+    code = main(["run", "--config", ini, "--out", str(tmp_path), "--alpha", "-1"])
+    assert code == EXIT_CONFIG
+    assert "alpha" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("old,new", [("d = 10", "d = abc"),
                                      ("[run]", "stray = 1\n[run]")],
                          ids=["non-numeric", "no-section-header"])
@@ -178,7 +184,7 @@ def test_malformed_ini_is_config_error(tmp_path, capsys, old, new):
 
 def test_operator_error_during_run_is_runtime_error(tmp_path, ini, monkeypatch):
     def failing_run(config):
-        raise OperatorError("singular 4x4 resolvent system")
+        raise OperatorError("dimension mismatch")
 
     monkeypatch.setattr(dsba.cli, "run", failing_run)
     code = main(["run", "--config", ini, "--out", str(tmp_path)])

@@ -10,6 +10,7 @@ from dsba.operators import (
     lipschitz_bound,
     make_operator,
     reset_counters,
+    resolve_margins,
     resolvent,
     resolve_regularized,
     strong_monotonicity_estimate,
@@ -101,6 +102,74 @@ def test_logistic_resolvent_extreme_inputs():
         z = scale * rng.standard_normal(d)
         u = resolvent(op, 10.0, z)
         assert np.max(np.abs(u + 10.0 * eval_component(op, u).to_dense() - z)) < 1e-6 * scale
+
+
+def _batch(rng, family, rows, d, scale=1.0):
+    """Operators on random rows with mixed labels, and a psi per row."""
+    labels = np.resize([1.0, -1.0], rows)
+    ops = [make_operator(family, _sample(rng, d, nnz=4, label=float(y)), 0.0, d,
+                         p=0.3 if family == "auc" else None) for y in labels]
+    psi = scale * rng.standard_normal((rows, ops[0].dim))
+    return ops, psi
+
+
+@pytest.mark.parametrize("family,scale", [("ridge", 1.0), ("logistic", 1.0),
+                                          ("logistic", 1e3), ("logistic", 1e6),
+                                          ("auc", 1.0)])
+def test_kernel_batch_matches_per_sample_calls(family, scale):
+    # one batched call over rows of both labels gives what one resolvent
+    # call per row gives
+    rng = np.random.default_rng(11)
+    d, alpha = 9, 0.7
+    ops, psi = _batch(rng, family, 12, d, scale)
+    X = np.zeros((len(ops), d))
+    for k, op in enumerate(ops):
+        X[k, op.sample.indices] = op.sample.values
+    e, tail = resolve_margins(family, np.einsum("nd,nd->n", psi[:, :d], X),
+                              np.einsum("nd,nd->n", X, X),
+                              np.array([op.sample.label for op in ops]), alpha,
+                              psi[:, d:], 0.3)
+    batched = psi.copy()
+    batched[:, :d] -= alpha * e[:, None] * X
+    if tail is not None:
+        batched[:, d:] = tail
+    for k, op in enumerate(ops):
+        one = resolvent(op, alpha, psi[k])
+        assert np.max(np.abs(batched[k] - one)) <= 1e-12 * scale, (k, op.sample.label)
+
+
+@pytest.mark.parametrize("label", [1.0, -1.0])
+def test_auc_closed_form_matches_4x4_solve(label):
+    # the fixed point of the auc resolvent as the 4x4 linear system in
+    # (a'w_out, a_out, b_out, theta_out) it was first written as
+    rng = np.random.default_rng(12)
+    d = 6
+    for p in (0.2, 0.5, 0.9):
+        op = make_operator("auc", _sample(rng, d, nnz=3, label=label), 0.0, d, p=p)
+        s = op.sample
+        alpha = float(rng.uniform(0.05, 3.0))
+        psi = rng.standard_normal(op.dim)
+        na2 = float(s.values @ s.values)
+        sw = float(s.values @ psi[s.indices])
+        h = 1 + 2 * p * (1 - p) * alpha
+        if label > 0:
+            g = 2.0 * (1 - p) * alpha
+            A = np.array([[1 + g * na2, -g * na2, 0.0, -g * na2],
+                          [-g, 1 + g, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 0.0],
+                          [g, 0.0, 0.0, h]])
+            rhs = np.array([sw + g * na2, psi[d], psi[d + 1], psi[d + 2]])
+        else:
+            g = 2.0 * p * alpha
+            A = np.array([[1 + g * na2, 0.0, -g * na2, g * na2],
+                          [0.0, 1.0, 0.0, 0.0],
+                          [-g, 0.0, 1 + g, 0.0],
+                          [-g, 0.0, 0.0, h]])
+            rhs = np.array([sw - g * na2, psi[d], psi[d + 1], psi[d + 2]])
+        sc, a_out, b_out, theta_out = np.linalg.solve(A, rhs)
+        u = resolvent(op, alpha, psi)
+        assert float(s.values @ u[s.indices]) == pytest.approx(sc, abs=1e-12)
+        assert np.allclose(u[d:], [a_out, b_out, theta_out], rtol=0, atol=1e-12)
 
 
 def test_wrap_l2_matches_regularized_resolvent():

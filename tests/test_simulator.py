@@ -125,6 +125,15 @@ def test_build_problem_rejects_bad_labels():
         dict(synthetic=None),
         dict(engine="fast"),
         dict(newton_iters=0),
+        dict(alpha=-0.1),
+        dict(alpha=0.0),
+        dict(alpha=float("nan")),
+        dict(alpha=float("inf")),
+        dict(lam=-0.5),
+        dict(lam=float("nan")),
+        dict(lam=float("inf")),
+        dict(metric_every=0),
+        dict(lyapunov_every=0),
     ],
 )
 def test_config_validation_rejects(kw):
@@ -158,23 +167,45 @@ def test_consensus_start_at_optimum_stays_there():
     assert np.linalg.norm(node.z - z_star) <= 1e-12
 
 
-def test_fast_engine_matches_generic():
-    spec = _spec(d=10, n_samples=40)
-    common = dict(family="ridge", n_nodes=4, topology="ring", synthetic=spec,
-                  lam=0.05, rounds=200, seed=3, metric_every=50)
-    for variant in ("dsba", "dsa"):
-        fast = run(RunConfig(engine="auto", variant=variant, **common))
-        assert fast.manifest["engine"] == "fast"
-        z_gen = run(RunConfig(engine="generic", variant=variant, **common)).z_final
-        assert np.max(np.abs(fast.z_final - z_gen)) < 1e-10
+@pytest.mark.parametrize("n_samples", [40, 39], ids=["equal", "unequal"])
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_fast_engine_matches_generic(family, variant, n_samples):
+    # 39 samples on 4 nodes gives shards of 10, 10, 10 and 9
+    kind = "ridge" if family == "ridge" else "classification"
+    spec = _spec(kind=kind, d=10, n_samples=n_samples, margin=0.05)
+    common = dict(family=family, variant=variant, n_nodes=4, topology="ring",
+                  synthetic=spec, lam=0.05, rounds=200, seed=3, metric_every=50)
+    fast = run(RunConfig(engine="auto", **common))
+    generic = run(RunConfig(engine="generic", **common))
+    assert (fast.manifest["engine"], generic.manifest["engine"]) == ("fast", "generic")
+    assert len({len(ops) for ops in fast.problem.ops}) == (1 if n_samples == 40 else 2)
+    assert np.max(np.abs(fast.z_final - generic.z_final)) < 1e-10
+    assert fast.manifest["counters"] == generic.manifest["counters"]
 
 
-def test_engine_auto_falls_back_to_generic_for_logistic():
-    spec = _spec(kind="classification", margin=0.05)
-    cfg = RunConfig(family="logistic", synthetic=spec, n_nodes=2,
-                    topology="complete", rounds=5, seed=0)
-    result = run(cfg)
-    assert result.manifest["engine"] == "generic"
+@pytest.mark.parametrize("kw,engine", [
+    (dict(), "fast"),
+    (dict(variant="dsa"), "fast"),
+    (dict(family="logistic"), "fast"),
+    (dict(family="auc", variant="dsa"), "fast"),
+    (dict(n_samples=39), "fast"),
+    (dict(engine="generic"), "generic"),
+    (dict(comm="sparse"), "generic"),
+    (dict(variant="extra"), "generic"),
+    (dict(track_lyapunov=True), "generic"),
+    (dict(variant="pointsaga", n_nodes=1), "generic"),
+])
+def test_engine_choice(kw, engine):
+    # auto picks the batched engine for dense dsba/dsa on every family and
+    # shard layout; the per-node loop keeps everything else
+    kw = dict(kw)
+    family = kw.setdefault("family", "ridge")
+    spec = _spec(kind="ridge" if family == "ridge" else "classification",
+                 n_samples=kw.pop("n_samples", 40), margin=0.05)
+    cfg = RunConfig(synthetic=spec, **{"n_nodes": 4, "topology": "complete",
+                                       "rounds": 3, "seed": 0, **kw})
+    assert run(cfg).manifest["engine"] == engine
 
 
 def test_metrics_csv_roundtrip():
