@@ -17,7 +17,7 @@ from .simulator import (MetricsLog, Problem, RunConfig, RunResult,
                         SyntheticSpec, auc_score, build_problem, objective,
                         reference_solution, run, synthetic_samples)
 from .sparse import SparseVec
-from .sparsecomm import DeltaPacket, Network, ObserverMemory, RelaySchedule, run_sparse
+from .sparsecomm import DeltaPacket, Network, ObserverMemory, run_sparse
 from .topology import (MixingMatrix, build_mixing, check_mixing_conditions,
                        make_adjacency)
 

@@ -100,7 +100,6 @@ class NodeState:
     z_prev: np.ndarray = field(init=False)
     delta_prev: SparseVec = field(init=False)
     t: int = field(default=0, init=False)
-    newton_iters: int = 20
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=np.float64)
@@ -116,10 +115,10 @@ class NodeState:
 
 
 def make_node(node: int, ops: list[OperatorSpec], alpha: float, lam: float,
-              z0: np.ndarray, seed: int, newton_iters: int = 20) -> NodeState:
+              z0: np.ndarray, seed: int) -> NodeState:
     rng = np.random.default_rng([seed, node])
     return NodeState(node, ops, PhiTable(ops, z0), alpha, lam, rng,
-                     np.array(z0, dtype=np.float64), newton_iters=newton_iters)
+                     np.array(z0, dtype=np.float64))
 
 
 def compute_psi(state: NodeState, mixed: np.ndarray, i: int) -> np.ndarray:
@@ -150,7 +149,7 @@ def dsba_node_step(state: NodeState, mixed: np.ndarray):
     """One implicit round: returns (z_next, delta, i)."""
     i = state.draw()
     psi = compute_psi(state, mixed, i)
-    z_next = resolve_regularized(state.ops[i], state.alpha, psi, state.newton_iters)
+    z_next = resolve_regularized(state.ops[i], state.alpha, psi)
     delta = state.table.update(i, eval_component(state.ops[i], z_next))
     _advance(state, z_next, delta)
     return z_next, delta, i

@@ -38,6 +38,26 @@ def _out_dir(args) -> Path:
     return path
 
 
+# every key an INI file may set, by section
+INI_KEYS = {
+    "run": {"family", "variant", "comm", "engine", "rounds", "seed", "alpha",
+            "lambda", "metric_every", "stop_subopt"},
+    "graph": {"n_nodes", "topology", "edge_prob", "graph_seed", "tau_scale"},
+    "data": {"path", "synthetic", "d", "n_samples", "nnz", "noise", "margin",
+             "data_seed"},
+}
+
+
+def _check_keys(cfg: configparser.ConfigParser, path: str) -> None:
+    """A misspelt key or section would otherwise fall back to its default."""
+    unknown = [f"[{s}]" for s in cfg.sections() if s not in INI_KEYS]
+    unknown += [f"[{cfg.default_section}] {k}" for k in cfg.defaults()]
+    unknown += [f"[{s}] {k}" for s in cfg.sections() if s in INI_KEYS
+                for k in cfg.options(s) if k not in INI_KEYS[s] and k not in cfg.defaults()]
+    if unknown:
+        raise ConfigError(f"unknown keys or sections in {path}: {', '.join(unknown)}")
+
+
 def _get(cfg: configparser.ConfigParser, section: str, key: str, cast, default):
     if cfg.has_option(section, key):
         raw = cfg.get(section, key).strip()
@@ -59,6 +79,7 @@ def load_config(path: str | None, args) -> RunConfig:
             cfg.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"malformed config file {path}: {exc}") from None
+        _check_keys(cfg, path)
 
     data_path = _get(cfg, "data", "path", str, None)
     synthetic = None
@@ -86,7 +107,6 @@ def load_config(path: str | None, args) -> RunConfig:
         lam=_get(cfg, "run", "lambda", float, None),
         metric_every=_get(cfg, "run", "metric_every", int, None),
         stop_subopt=_get(cfg, "run", "stop_subopt", float, None),
-        newton_iters=_get(cfg, "run", "newton_iters", int, 20),
         n_nodes=_get(cfg, "graph", "n_nodes", int, 10),
         topology=_get(cfg, "graph", "topology", str, "random"),
         edge_prob=_get(cfg, "graph", "edge_prob", float, 0.4),

@@ -44,6 +44,9 @@ class OperatorError(ValueError):
 # manifest's "counters"; a batched evaluation counts one per sample row
 COUNTERS = {"component_evals": 0, "resolves": 0}
 
+# most Newton steps of the logistic resolvent before it falls back to bisection
+NEWTON_ITERS = 20
+
 
 def reset_counters() -> dict:
     snapshot = dict(COUNTERS)
@@ -209,21 +212,19 @@ def kernel_ridge(m, na2, y, alpha):
     return (m + alpha * na2 * y) / (1.0 + alpha * na2) - y
 
 
-def kernel_logistic(m, na2, y, alpha, newton_iters=20):
+def kernel_logistic(m, na2, y, alpha):
     """Logistic resolvent in margin form: t = a'z_out solves
     g(t) = t + c*e(t) - m = 0 with c = alpha*||a||^2 and
     e(t) = -y / (1 + exp(y t)), the output coefficient.
 
-    Newton from t = 0, at most `newton_iters` steps, until every step is
+    Newton from t = 0, at most `NEWTON_ITERS` steps, until every step is
     below 1e-14; g' >= 1, so the steps stay finite. A row left with a
     residual above 1e-9 is bisected instead (g is strictly increasing)."""
-    if newton_iters < 1:
-        raise OperatorError("newton_iters must be >= 1")
     m, na2, y = np.broadcast_arrays(m, na2, y)
     c = alpha * na2
     cy = c * y
     t = np.zeros(m.shape)
-    for _ in range(newton_iters):
+    for _ in range(NEWTON_ITERS):
         sg = expit(-y * t)
         t2 = t - (t - m - cy * sg) / (1.0 + c * sg * (1.0 - sg))
         small = np.abs(t2 - t) < 1e-14
@@ -271,7 +272,7 @@ def kernel_auc(m, na2, y, alpha, tail, p):
 
 
 def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
-                    p: float | None = None, newton_iters: int = 20):
+                    p: float | None = None):
     """J_{alpha B}(psi) for single-sample operators, one per row, from the
     margins m = a'psi, the squared row norms and the labels (auc also
     reads psi's tail). The output is psi - alpha*e*a on the features and,
@@ -282,12 +283,11 @@ def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
     if family == "ridge":
         return kernel_ridge(m, na2, y, alpha), None
     if family == "logistic":
-        return kernel_logistic(m, na2, y, alpha, newton_iters), None
+        return kernel_logistic(m, na2, y, alpha), None
     return kernel_auc(m, na2, y, alpha, tail, p)
 
 
-def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray,
-              newton_iters: int = 20) -> np.ndarray:
+def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:
     """Resolvent of the unregularized family operator, J_{alpha B}(psi)."""
     if alpha <= 0:
         raise OperatorError("alpha must be positive")
@@ -295,7 +295,7 @@ def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray,
     COUNTERS["resolves"] += 1
     s, d = op.sample, op.d_features
     e, tail = resolve_margins(op.family, float(s.values @ psi[s.indices]), op.na2,
-                              s.label, alpha, psi[d:], op.p, newton_iters)
+                              s.label, alpha, psi[d:], op.p)
     out = psi.copy()
     out[s.indices] -= alpha * e * s.values
     if tail is not None:
@@ -312,12 +312,9 @@ def wrap_l2_resolvent(resolvent_of_b, lam: float, alpha: float, z: np.ndarray) -
     return resolvent_of_b(rho * alpha, rho * np.asarray(z, dtype=np.float64))
 
 
-def resolve_regularized(op: OperatorSpec, alpha: float, psi: np.ndarray,
-                        newton_iters: int = 20) -> np.ndarray:
+def resolve_regularized(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:
     """J_{alpha (B + lam I)}(psi) for the spec's own lam."""
-    return wrap_l2_resolvent(
-        lambda a, z: resolvent(op, a, z, newton_iters), op.lam, alpha, psi
-    )
+    return wrap_l2_resolvent(lambda a, z: resolvent(op, a, z), op.lam, alpha, psi)
 
 
 def lipschitz_bound(op: OperatorSpec) -> float:

@@ -24,7 +24,7 @@ from .algorithms import (NodeState, dsa_node_step, dsba_node_step, extra_round,
 from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
                         lipschitz_bound, make_operator, reset_counters,
                         resolve_margins)
-from .sparsecomm import Network, RelaySchedule, bootstrap_rounds, run_sparse
+from .sparsecomm import Network, bootstrap_rounds, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
 VARIANTS = ("dsba", "dsa", "extra", "pointsaga")
@@ -248,7 +248,6 @@ class RunConfig:
     seed: int = 0
     metric_every: int | None = None  # None -> one effective pass (q_min)
     stop_subopt: float | None = None
-    newton_iters: int = 20
     track_lyapunov: bool = False
     lyapunov_every: int = 10
     record_trajectory: bool = False
@@ -265,8 +264,6 @@ class RunConfig:
             raise ConfigError("engine must be auto|generic")
         if (self.synthetic is None) == (self.dataset_path is None):
             raise ConfigError("exactly one of synthetic or dataset_path is required")
-        if self.newton_iters < 1:
-            raise ConfigError("newton_iters must be >= 1")
         if self.alpha is not None and not 0.0 < self.alpha < np.inf:
             raise ConfigError("alpha must be positive and finite")
         if self.lam is not None and not 0.0 <= self.lam < np.inf:
@@ -390,9 +387,9 @@ class LyapunovTracker:
 # engines
 
 
-def _make_states(problem: Problem, alpha: float, seed: int, z0: np.ndarray,
-                 newton_iters: int) -> list[NodeState]:
-    return [make_node(n, ops_n, alpha, problem.lam, z0, seed, newton_iters)
+def _make_states(problem: Problem, alpha: float, seed: int,
+                 z0: np.ndarray) -> list[NodeState]:
+    return [make_node(n, ops_n, alpha, problem.lam, z0, seed)
             for n, ops_n in enumerate(problem.ops)]
 
 
@@ -431,8 +428,7 @@ def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
 
 
 def _run_batched(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
-                 seed: int, z0: np.ndarray, variant: str, newton_iters: int,
-                 on_round) -> np.ndarray:
+                 seed: int, z0: np.ndarray, variant: str, on_round) -> np.ndarray:
     """Vectorized dense engine for dsba and dsa on every family: one float64
     numpy round over all nodes.
 
@@ -481,7 +477,7 @@ def _run_batched(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
             psi *= rho
             e, tail = resolve_margins(family, np.einsum("nd,nd->n", psi[:, :d], A),
                                       na2[r], samples.y[r], rho * alpha,
-                                      psi[:, d:], samples.p, newton_iters)
+                                      psi[:, d:], samples.p)
             psi[:, :d] -= (rho * alpha * e)[:, None] * A
             if auc:
                 psi[:, d:] = tail
@@ -555,7 +551,7 @@ def run(config: RunConfig) -> RunResult:
     trajectory: list[np.ndarray] | None = None
     if config.record_trajectory:
         trajectory = [Z0.copy()]
-    net = Network(RelaySchedule(mix.adjacency)) if config.comm == "sparse" else None
+    net = Network(mix.distances) if config.comm == "sparse" else None
 
     def c_max_at(t: int) -> int:
         if net is not None:
@@ -617,7 +613,7 @@ def run(config: RunConfig) -> RunResult:
 
     def start_states() -> list[NodeState]:
         nonlocal states
-        states = _make_states(problem, alpha, config.seed, z0, config.newton_iters)
+        states = _make_states(problem, alpha, config.seed, z0)
         if tracker is not None:
             tracker.update(0, Z0, states)
         return states
@@ -631,7 +627,7 @@ def run(config: RunConfig) -> RunResult:
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     elif engine == "fast":
         Z_final = _run_batched(problem, mix, config.rounds, alpha, config.seed,
-                               z0, config.variant, config.newton_iters, on_round)
+                               z0, config.variant, on_round)
     else:
         Z_final = _run_dense_generic(start_states(), mix, config.rounds,
                                      config.variant, on_round)

@@ -2,23 +2,26 @@
 
 After a short dense warm-up, nodes stop broadcasting full iterates and
 exchange only the per-round sparse table corrections (delta packets), relayed
-hop-by-hop along shortest paths. Each node acts as an *observer* of the whole
-network: from the delta stream it maintains
+hop-by-hop along shortest paths. Every node acts as an *observer* of the
+whole network that rebuilds its own mixing input from the delta stream. All
+observers run at one depth D, the graph's largest eccentricity, so their
+state is kept once for the whole network (`ObserverMemory`):
 
-* a delayed copy of the global iterate matrix, Z^{t-E-1} and Z^{t-E-2}
-  (E = the observer's eccentricity),
-* the projected quantities g_t[k] = [Wt^k]_o Z^{t-k+1} for k = 0..E+1,
+* a delayed copy of the global iterate matrix, Z^{t-D-1} and Z^{t-D-2},
+* the projections g_t[k] = Wt^k Z^{t-k+1} for k = 1..D+1, all rows at once,
 
-which is exactly enough to rebuild its own resolvent argument each round.
-The recursion that rolls these forward is derived from the dense update rule
-(the same code path as the dense engine computes the local step), so sparse
-and dense trajectories agree to numerical precision; equivalence is pinned by
-tests rather than by any closed-form unfolding.
+which is exactly enough to rebuild every node's resolvent argument each
+round. The recursion that rolls these forward is derived from the dense
+update rule (the same code path as the dense engine computes the local
+step), so sparse and dense trajectories agree to numerical precision;
+equivalence is pinned by tests rather than by any closed-form unfolding.
 
-Each delta is written once, by its origin, into the round's N x d block
-shared by all observers (`DeltaBlocks`). An observer reads only deltas below
-its delivered-round watermark, the last round heard from each origin with no
-gap; reading past it, or hearing a gap or a repeat, raises `ProtocolError`.
+Each delta is written once, by its origin, into the round's N x d block.
+Observer o reads origin m's corrections only below the delivered-round
+watermark heard[o, m], the last round it heard from m with no gap; reading
+past it, or hearing a gap or a repeat, raises `ProtocolError`. An observer
+with eccentricity E <= D reads rounds at lag D or more only from origins it
+has already heard, so the shared depth needs no extra traffic.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 
 from .algorithms import NodeState, dsa_node_step, dsba_node_step
 from .sparse import SparseVec
-from .topology import MixingMatrix, TopologyError, bfs_distances
+from .topology import MixingMatrix
 
 
 class ProtocolError(RuntimeError):
@@ -53,38 +56,21 @@ class DeltaPacket:
         return self.payload.nnz + 2
 
 
-class RelaySchedule:
-    """Static shortest-path forwarding: packet (origin o, round s) reaches
-    node u exactly once, at round s + dist(o, u)."""
-
-    def __init__(self, adjacency: np.ndarray):
-        self.adjacency = adjacency
-        self.dist = bfs_distances(adjacency)
-        if (self.dist < 0).any():
-            raise TopologyError("graph must be connected")
-        self.n = len(adjacency)
-
-    def delay(self, origin: int, dest: int) -> int:
-        return int(self.dist[origin, dest])
-
-
 class Network:
     """Synchronous lossless packet fabric with per-node receive accounting.
-    The distance matrix fixes which origins each destination hears from at
-    each delay, so a round is delivered and accounted by array operations."""
+    Packet (origin o, round s) reaches node u exactly once, at round
+    s + dist(o, u), so the hop-distance matrix fixes which origins each
+    destination hears from at each delay, and a round is delivered and
+    accounted by array operations."""
 
-    def __init__(self, schedule: RelaySchedule):
-        self.schedule = schedule
-        self.n = schedule.n
-        dist = schedule.dist
-        # reach[k][o, u] = 1 when o's packets reach u after k + 1 rounds (one
-        # empty delay on a single node, so that sent rounds still retire)
-        self._reach = [(dist == k).astype(np.int64) for k in range(1, max(dist.max(), 1) + 1)]
-        self._sources = [[np.flatnonzero(r[:, u]).tolist() for u in range(self.n)]
-                         for r in self._reach]
+    def __init__(self, distances: np.ndarray):
+        self.n = len(distances)
+        # reach[k][o, u]: o's packets reach u after k + 1 rounds (one empty
+        # delay on a single node, so that sent rounds still retire)
+        self._reach = [distances == k for k in range(1, max(distances.max(), 1) + 1)]
         self._sent: defaultdict[int, list[DeltaPacket]] = defaultdict(list)
-        # round -> (packets by origin, their value doubles, metadata doubles)
-        self._in_flight: dict[int, tuple[list, np.ndarray, np.ndarray]] = {}
+        # round -> (origins that sent, their value doubles, metadata doubles)
+        self._in_flight: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.value_doubles = np.zeros(self.n, dtype=np.int64)
         self.metadata_doubles = np.zeros(self.n, dtype=np.int64)
         self.broadcast_doubles = np.zeros(self.n, dtype=np.int64)
@@ -97,135 +83,120 @@ class Network:
     def account_dense_round(self, degrees: np.ndarray, d: int) -> None:
         self.broadcast_doubles += degrees.astype(np.int64) * d
 
-    def deliver(self, t: int) -> list[list[DeltaPacket]]:
-        """Inboxes at the start of round t: packet (o, s) reaches u when
-        s + dist(o, u) = t. Round t - 1's packets set off now."""
-        packets = [None] * self.n
+    def deliver(self, t: int) -> np.ndarray:
+        """Arrivals at the start of round t: entry [u, o] is the round s of
+        the packet from origin o that reaches u now (s + dist(o, u) = t), or
+        -1 for none. Round t - 1's packets set off now."""
+        sent = np.zeros(self.n, dtype=bool)
+        nnz = np.zeros(self.n, dtype=np.int64)
+        metadata = np.zeros(self.n, dtype=np.int64)
         for p in self._sent.pop(t - 1, ()):
-            if packets[p.origin] is not None:
+            if sent[p.origin]:
                 raise ProtocolError(f"duplicate delivery {(p.origin, p.round)}")
-            packets[p.origin] = p
-        self._in_flight[t - 1] = (
-            packets, np.array([p.value_doubles if p else 0 for p in packets]),
-            np.array([p.metadata_doubles if p else 0 for p in packets]))
-        inboxes = [[] for _ in range(self.n)]
+            sent[p.origin] = True
+            nnz[p.origin], metadata[p.origin] = p.value_doubles, p.metadata_doubles
+        self._in_flight[t - 1] = (sent, nnz, metadata)
+        arrivals = np.full((self.n, self.n), -1, dtype=np.int64)
         values = np.zeros(self.n, dtype=np.int64)
-        for delay, (reach, sources) in enumerate(zip(self._reach, self._sources), 1):
-            if (sent := self._in_flight.get(t - delay)) is not None:
-                packets, nnz, metadata = sent
+        for delay, reach in enumerate(self._reach, 1):
+            if (flight := self._in_flight.get(t - delay)) is not None:
+                sent, nnz, metadata = flight
                 values += nnz @ reach
                 self.metadata_doubles += metadata @ reach
-                for box, origins in zip(inboxes, sources):
-                    box += [packets[o] for o in origins if packets[o]]
+                arrivals[reach.T & sent] = t - delay
         self._in_flight.pop(t - len(self._reach), None)
         self.round_values[t] = values
         self.value_doubles += values
-        return inboxes
+        return arrivals
 
     def received_doubles(self) -> np.ndarray:
         """Per-node cumulative 64-bit values received (payload + dense rounds)."""
         return self.value_doubles + self.broadcast_doubles
 
 
-class DeltaBlocks:
-    """The round's deltas as one dense N x d block D shared by all observers.
-    Closing round s forms G_s = diag((q-1)/q) D_{s-1} - D_s, whose row m is
-    node m's table correction in round s; observers read back at most
-    `depth` = max eccentricity + 1 rounds, so only that many are kept."""
-
-    def __init__(self, qs: np.ndarray, dim: int, depth: int):
-        self.carry = ((qs - 1.0) / qs)[:, None]
-        self.depth = depth
-        self.D_prev = np.zeros((len(qs), dim))
-        self.D = np.zeros_like(self.D_prev)
-        self.G: dict[int, np.ndarray] = {}
-
-    def close(self, s: int) -> None:
-        self.G[s] = self.carry * self.D_prev - self.D
-        self.G.pop(s - self.depth, None)
-        self.D_prev, self.D = self.D, np.zeros_like(self.D)
-
-
 class ObserverMemory:
-    """Delayed global state one node keeps about the rest of the network."""
+    """Delayed global state of every observer, at the common depth D.
 
-    def __init__(self, observer: int, mix: MixingMatrix, blocks: DeltaBlocks,
+    Closing round s forms G_s = diag((q-1)/q) D_{s-1} - D_s from the
+    round's delta blocks; row m is node m's table correction in round s.
+    Observers read back at most D + 1 rounds, so only that many are kept."""
+
+    def __init__(self, mix: MixingMatrix, qs: np.ndarray, dim: int,
                  alpha: float, lam: float, variant: str):
         if variant not in ("dsba", "dsa"):
             raise ProtocolError(f"sparse protocol supports dsba/dsa, not {variant!r}")
-        self.o = observer
         self.variant = variant
         self.alpha = alpha
         self.lam = lam
-        self.blocks = blocks
-        self.ecc = int(mix.distances[observer].max())
-        # static rows of Wt^k for k = 0..E+1, and the origins each one reads
-        self.rows = [np.linalg.matrix_power(mix.Wt, k)[observer]
-                     for k in range(self.ecc + 2)]
-        self.support = [np.flatnonzero(row).tolist() for row in self.rows]
-        self.Wt = mix.Wt
-        self.zA: np.ndarray | None = None  # Z^{t-E-1}
-        self.zB: np.ndarray | None = None  # Z^{t-E-2}
-        self.gens: dict[int, list[np.ndarray]] = {}  # round -> [g[k]]_k
-        # delivered-round watermark: the last round heard from each origin
-        # with no gap before it
-        self.heard = [-1] * mix.n
+        self.depth = D = int(mix.eccentricities.max())
+        # Wt^k for k = 0..D+1, and the origins each observer's row reads
+        self.powers = np.stack([np.linalg.matrix_power(mix.Wt, k) for k in range(D + 2)])
+        self.support = self.powers != 0.0
+        self.carry = ((qs - 1.0) / qs)[:, None]
+        self.D_prev = np.zeros((mix.n, dim))
+        self.G: dict[int, np.ndarray] = {}
+        self.zA: np.ndarray | None = None  # Z^{t-D-1}
+        self.zB: np.ndarray | None = None  # Z^{t-D-2}
+        # round s -> (D+2, N, dim) stack of g_s[k]; slot 0 is never read
+        self.gens: dict[int, np.ndarray] = {}
+        # delivered-round watermark: heard[o, m] is the last round observer o
+        # heard from origin m with no gap before it
+        self.heard = np.full((mix.n, mix.n), -1, dtype=np.int64)
 
-    def _hear(self, origin: int, rnd: int) -> None:
-        if rnd != self.heard[origin] + 1:
-            raise ProtocolError(f"observer {self.o} heard delta (origin={origin}, "
-                                f"round={rnd}) after round {self.heard[origin]}")
-        self.heard[origin] = rnd
+    def absorb(self, arrivals: np.ndarray) -> None:
+        """Advance the watermark by one round of arrivals (see
+        `Network.deliver`); each must be the next round from its origin."""
+        got = arrivals >= 0
+        bad = np.argwhere(got & (arrivals != self.heard + 1))
+        if len(bad):
+            o, m = bad[0]
+            raise ProtocolError(f"observer {o} heard delta (origin={m}, "
+                                f"round={arrivals[o, m]}) after round {self.heard[o, m]}")
+        self.heard[got] = arrivals[got]
 
-    def log_delta(self, rnd: int, payload: SparseVec) -> None:
-        """Write this node's own round-`rnd` delta into the shared block."""
-        payload.add_into(self.blocks.D[self.o])
-        self._hear(self.o, rnd)
-
-    def absorb(self, inbox: list[DeltaPacket]) -> None:
-        for p in inbox:
-            self._hear(p.origin, p.round)
-
-    def _block(self, s: int, origins) -> np.ndarray:
-        """G_s, once every delta of `origins` up to round s has arrived."""
-        late = [m for m in origins if self.heard[m] < s]
-        if late:
-            raise ProtocolError(f"observer {self.o} missing delta "
-                                f"(origin={late[0]}, round={self.heard[late[0]] + 1})")
-        return self.blocks.G[s]
+    def _block(self, s: int, support=True) -> np.ndarray:
+        """G_s, once every observer has heard every origin of `support`
+        (observer x origin mask) up to round s."""
+        late = np.argwhere(support & (self.heard < s))
+        if len(late):
+            o, m = late[0]
+            raise ProtocolError(f"observer {o} missing delta "
+                                f"(origin={m}, round={self.heard[o, m] + 1})")
+        return self.G[s]
 
     def seed(self, z_hist: list[np.ndarray], t0: int) -> None:
         """Fill memory from the dense warm-up history, ready for round t0."""
-        E = self.ecc
-        self.zA = z_hist[t0 - E - 1].copy()
-        self.zB = z_hist[t0 - E - 2].copy()
-        self.gens = {
-            s: [self.rows[k] @ z_hist[s - k + 1] for k in range(E + 2)]
-            for s in (t0 - 1, t0 - 2)
-        }
+        D = self.depth
+        self.zA = z_hist[t0 - D - 1]
+        self.zB = z_hist[t0 - D - 2]
+        for s in (t0 - 1, t0 - 2):
+            g = np.empty((D + 2,) + self.zA.shape)
+            for k in range(1, D + 2):
+                g[k] = self.powers[k] @ z_hist[s - k + 1]
+            self.gens[s] = g
 
     def _reconstruct(self, t: int) -> np.ndarray:
-        """Z^{t-E} from the explicit form of the round-(t-E-1) update."""
+        """Z^{t-D} from the explicit form of the round-(t-D-1) update."""
         alpha, lam = self.alpha, self.lam
-        G = self._block(t - self.ecc - 1, range(len(self.heard)))
+        G = self._block(t - self.depth - 1)
         if self.variant == "dsba":
-            return (self.Wt @ (2.0 * self.zA - self.zB)
+            return (self.powers[1] @ (2.0 * self.zA - self.zB)
                     + (alpha * lam) * self.zA + alpha * G) / (1.0 + alpha * lam)
-        return (self.Wt @ (2.0 * self.zA - self.zB)
+        return (self.powers[1] @ (2.0 * self.zA - self.zB)
                 - (alpha * lam) * (self.zA - self.zB) + alpha * G)
 
     def advance(self, t: int) -> np.ndarray:
-        """Roll the projections one round forward; returns the observer's
-        mixing input sum_m wt_{o,m} (2 z_m^t - z_m^{t-1})."""
-        E, alpha, lam = self.ecc, self.alpha, self.lam
+        """Roll the projections one round forward; returns every node's
+        mixing input, row n = sum_m wt_{n,m} (2 z_m^t - z_m^{t-1})."""
+        D, alpha, lam = self.depth, self.alpha, self.lam
         z_rec = self._reconstruct(t)
         g_prev = self.gens[t - 1]
-        gt = [None] * (E + 2)
-        gt[E + 1] = self.rows[E + 1] @ z_rec
+        gt = np.empty_like(g_prev)
+        gt[D + 1] = self.powers[D + 1] @ z_rec
         c1 = 1.0 / (1.0 + alpha * lam)
-        for k in range(E, 0, -1):
-            # row k of the round-(t-k) table corrections, from its support
-            corr = self.rows[k] @ self._block(t - k, self.support[k])
+        for k in range(D, 0, -1):
+            # Wt^k times the round-(t-k) table corrections
+            corr = self.powers[k] @ self._block(t - k, self.support[k])
             if self.variant == "dsba":
                 acc = 2.0 * gt[k + 1] - g_prev[k + 1] + (alpha * lam) * g_prev[k]
                 gt[k] = c1 * (acc + alpha * corr)
@@ -238,13 +209,21 @@ class ObserverMemory:
         self.gens[t] = gt
         return 2.0 * gt[1] - g_prev[1]
 
-    def finish_round(self, t: int, z_next: np.ndarray) -> None:
-        self.gens[t][0] = z_next
+    def finish_round(self, t: int, deltas: list[SparseVec]) -> None:
+        """Write the round's deltas, each by its origin, and close round t."""
+        block = np.zeros_like(self.D_prev)
+        rows = np.repeat(np.arange(len(deltas)), [v.nnz for v in deltas])
+        block[rows, np.concatenate([v.idx for v in deltas])] = \
+            np.concatenate([v.val for v in deltas])
+        np.fill_diagonal(self.heard, t)
+        self.G[t] = self.carry * self.D_prev - block
+        self.G.pop(t - self.depth - 1, None)
+        self.D_prev = block
         self.gens.pop(t - 2 if self.variant == "dsba" else t - 3, None)
 
 
 def bootstrap_rounds(mix: MixingMatrix) -> int:
-    """Dense warm-up length: enough rounds that every observer's seed only
+    """Dense warm-up length: enough rounds that the observers' seed only
     references post-initialization history and already-relayed packets."""
     return int(mix.eccentricities.max()) + 3
 
@@ -263,11 +242,9 @@ def run_sparse(states: list[NodeState], mix: MixingMatrix, rounds: int,
     d = states[0].table.dim
     step = dsba_node_step if variant == "dsba" else dsa_node_step
     if net is None:
-        net = Network(RelaySchedule(mix.adjacency))
-    blocks = DeltaBlocks(np.array([s.q for s in states]), d,
-                         depth=int(mix.eccentricities.max()) + 1)
-    observers = [ObserverMemory(n, mix, blocks, states[0].alpha, states[0].lam, variant)
-                 for n in range(len(states))]
+        net = Network(mix.distances)
+    memory = ObserverMemory(mix, np.array([s.q for s in states]), d,
+                            states[0].alpha, states[0].lam, variant)
     t_boot = min(bootstrap_rounds(mix), rounds)
     Z = Zp = np.stack([s.z for s in states])
     z_hist = [Z]
@@ -277,18 +254,15 @@ def run_sparse(states: list[NodeState], mix: MixingMatrix, rounds: int,
             net.account_dense_round(mix.adjacency.sum(axis=1), d)
         else:
             if t > t_boot:
-                for obs, inbox in zip(observers, net.deliver(t)):
-                    obs.absorb(inbox)
-            mixed_all = [obs.advance(t) for obs in observers]
+                memory.absorb(net.deliver(t))
+            mixed_all = memory.advance(t)
         Znew = np.empty_like(Z)
+        deltas = []
         for n, state in enumerate(states):
-            z_next, delta, _ = step(state, mixed_all[n])
-            Znew[n] = z_next
+            Znew[n], delta, _ = step(state, mixed_all[n])
             net.broadcast(DeltaPacket(n, t, delta))
-            observers[n].log_delta(t, delta)
-            if t >= t_boot:
-                observers[n].finish_round(t, z_next)
-        blocks.close(t)
+            deltas.append(delta)
+        memory.finish_round(t, deltas)
         Zp, Z = Z, Znew
         if on_round is not None and on_round(t, Z):
             break
@@ -297,9 +271,7 @@ def run_sparse(states: list[NodeState], mix: MixingMatrix, rounds: int,
         if t + 1 == t_boot:
             # packets relayed during warm-up are delivered on their normal timetable
             for s in range(1, t_boot + 1):
-                for obs, inbox in zip(observers, net.deliver(s)):
-                    obs.absorb(inbox)
+                memory.absorb(net.deliver(s))
             if t_boot == bootstrap_rounds(mix):
-                for obs in observers:
-                    obs.seed(z_hist, t_boot)
+                memory.seed(z_hist, t_boot)
     return Z, net

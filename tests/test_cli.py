@@ -165,6 +165,18 @@ def test_invalid_newton_iters_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("old,new,named", [
+    ("rounds = 40", "roundz = 40", "[run] roundz"),
+    ("[graph]", "[bogus]\nx = 1\n\n[graph]", "[bogus]"),
+], ids=["misspelt-key", "unknown-section"])
+def test_unknown_ini_key_is_config_error(tmp_path, capsys, old, new, named):
+    path = tmp_path / "bad.ini"
+    path.write_text(FAST_INI.replace(old, new))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
 def test_negative_alpha_flag_is_config_error(tmp_path, ini, capsys):
     code = main(["run", "--config", ini, "--out", str(tmp_path), "--alpha", "-1"])
     assert code == EXIT_CONFIG

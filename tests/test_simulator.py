@@ -124,7 +124,6 @@ def test_build_problem_rejects_bad_labels():
         dict(track_lyapunov=True, variant="extra"),
         dict(synthetic=None),
         dict(engine="fast"),
-        dict(newton_iters=0),
         dict(alpha=-0.1),
         dict(alpha=0.0),
         dict(alpha=float("nan")),
