@@ -5,8 +5,8 @@ over synchronous gossip networks, with a sparse delta-relay communication
 mode and explicit/full-batch baselines.
 """
 
-from .algorithms import (NodeState, PhiTable, contraction_rate, dsa_node_step,
-                         dsba_node_step, extra_round, make_node,
+from .algorithms import (BatchedTable, NodeState, PhiTable, contraction_rate,
+                         dsa_node_step, dsba_node_step, extra_round, make_node,
                          step_size_bound)
 from .dataset import (Sample, Shards, default_lambda, normalize_rows,
                       parse_libsvm, partition)
@@ -17,7 +17,7 @@ from .simulator import (MetricsLog, Problem, RunConfig, RunResult,
                         SyntheticSpec, auc_score, build_problem, objective,
                         reference_solution, run, synthetic_samples)
 from .sparse import SparseVec
-from .sparsecomm import DeltaPacket, Network, ObserverMemory, run_sparse
+from .sparsecomm import Network, ObserverMemory, run_sparse
 from .topology import (MixingMatrix, build_mixing, check_mixing_conditions,
                        make_adjacency)
 

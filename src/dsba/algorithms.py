@@ -3,6 +3,9 @@
 Implements the implicit (resolvent-based) variance-reduced update, its
 explicit counterpart and the full-activation baseline round. On a single
 node (self-loop mixing, W = Wt = 1) the implicit update is Point-SAGA.
+`BatchedTable` holds every node's table and kernels as arrays, for the
+engines that step all nodes in one array round; the per-node steps are the
+reference it is tested against.
 
 Conventions shared by every method:
 
@@ -32,8 +35,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import OperatorSpec, SampleMatrix, eval_component, resolve_regularized
+from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
+                        resolve_margins, resolve_regularized)
 from .sparse import SparseVec
+
+# samples each node draws from its stream at once; `rng.integers(q, size=k)`
+# gives the same values as k single draws
+DRAW_BLOCK = 1024
 
 
 class AlgorithmError(ValueError):
@@ -198,6 +206,87 @@ def node_means(samples: SampleMatrix, coef: np.ndarray,
         out[:, d:] = np.add.reduceat(samples.weight[:, None] * tails,
                                      samples.starts, axis=0)
     return out
+
+
+class BatchedTable:
+    """Every node's table, sample stream and single-sample kernels as arrays,
+    for engines that step all N nodes in one array round.
+
+    A table entry phi_i is a coefficient times the sample row (plus three
+    tail values for auc), so the table is one coefficient per sample and a
+    Q x 3 tail block. Node n draws from `default_rng([seed, n])` like its
+    `NodeState`, and the operator counters advance as the per-node steps
+    would advance them."""
+
+    def __init__(self, samples: SampleMatrix, Z0: np.ndarray, seed: int):
+        self.samples = samples
+        self.d = d = samples.d
+        self.auc = samples.family == "auc"
+        self.X = samples.X.toarray()
+        self.na2 = np.einsum("ij,ij->i", self.X, self.X)
+        self.sizes = np.bincount(samples.row_node)
+        self.coef, self.tails = samples.row_terms(
+            samples.Xb @ Z0[:, :d].ravel(), Z0[samples.row_node, d:] if self.auc else None)
+        self.phibar = node_means(samples, self.coef, self.tails)
+        self._rngs = [np.random.default_rng([seed, n]) for n in range(len(self.sizes))]
+        self._draws = np.empty((0, len(self.sizes)), dtype=np.int64)
+        self._next = 0
+
+    def draw(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's sample for the next round: the global row indices r
+        and the dense rows X[r]."""
+        if self._next == len(self._draws):
+            self._draws = self.samples.starts + np.stack(
+                [rng.integers(q, size=DRAW_BLOCK) for rng, q in zip(self._rngs, self.sizes)],
+                axis=1)
+            self._next = 0
+        r = self._draws[self._next]
+        self._next += 1
+        return r, self.X[r]
+
+    def add_phi(self, out: np.ndarray, r: np.ndarray, A: np.ndarray, scale: float) -> None:
+        """out += scale * phi_i, row n holding node n's drawn entry."""
+        out[:, :self.d] += (scale * self.coef[r])[:, None] * A
+        if self.auc:
+            out[:, self.d:] += scale * self.tails[r]
+
+    def resolve(self, psi: np.ndarray, r: np.ndarray, A: np.ndarray,
+                alpha: float, lam: float) -> np.ndarray:
+        """J_{alpha (B_i + lam I)}(psi) row-wise, overwriting psi:
+        J_{rho alpha B}(rho psi) with rho = 1/(1 + lam alpha)."""
+        d, s = self.d, self.samples
+        rho = 1.0 / (1.0 + lam * alpha)
+        psi *= rho
+        e, tail = resolve_margins(s.family, np.einsum("nd,nd->n", psi[:, :d], A),
+                                  self.na2[r], s.y[r], rho * alpha, psi[:, d:], s.p)
+        psi[:, :d] -= (rho * alpha * e)[:, None] * A
+        if self.auc:
+            psi[:, d:] = tail
+        COUNTERS["resolves"] += len(r)
+        return psi
+
+    def update(self, at: np.ndarray, r: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """Replace the drawn entries by B_i(at), fold the change into the
+        node means and return it: the round's N x dim delta block."""
+        d = self.d
+        new_coef, new_tails = self.samples.row_terms(
+            np.einsum("nd,nd->n", at[:, :d], A), at[:, d:] if self.auc else None, rows=r)
+        delta = np.zeros_like(at)
+        delta[:, :d] = (new_coef - self.coef[r])[:, None] * A
+        if self.auc:
+            delta[:, d:] = new_tails - self.tails[r]
+            self.tails[r] = new_tails
+        self.phibar += delta / self.sizes[:, None]
+        self.coef[r] = new_coef
+        return delta
+
+    def distance_to(self, coef: np.ndarray, tails: np.ndarray | None) -> float:
+        """sum_n (2/q_n) sum_i ||phi_i - target_i||^2 against targets given
+        in the same form, one coefficient per row plus the auc tail block."""
+        sq = (self.coef - coef) ** 2 * self.na2
+        if self.auc:
+            sq += np.sum((self.tails - tails) ** 2, axis=1)
+        return 2.0 * float(self.samples.weight @ sq)
 
 
 def extra_round(Z: np.ndarray, Z_prev: np.ndarray, G: np.ndarray, G_prev: np.ndarray,

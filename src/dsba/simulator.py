@@ -9,6 +9,7 @@ executions of the same configuration follow the same sample path.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, asdict
@@ -18,12 +19,12 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from . import dataset as ds
-from .algorithms import (NodeState, dsa_node_step, dsba_node_step, extra_round,
-                         local_mean_operator, make_node, node_means,
+from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
+                         extra_round, local_mean_operator, make_node,
                          step_size_bound)
 from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
-                        lipschitz_bound, make_operator, reset_counters,
-                        resolve_margins)
+                        lipschitz_bound, make_operator, reset_counters)
+from .sparse import SparseVec
 from .sparsecomm import Network, bootstrap_rounds, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
@@ -348,6 +349,9 @@ class LyapunovTracker:
     ||Z^t - Z*||^2_Wt + ||Q^t - Q*||^2 + c * D^t, with Q^t the running sum of
     U Z^k, U = (I-W)^{1/2}, Q* = -alpha U^+ B(Z*), c = q/(96 L^2), and D^t
     the table-vs-optimum discrepancy sum_n (2/q_n) sum_i |phi - B_{n,i}(z*)|^2.
+
+    The engine hands over its table after each round: the per-node tables
+    (a list of `NodeState`) or the `BatchedTable` of the batched steps.
     """
 
     def __init__(self, mix: MixingMatrix, problem: Problem, z_star: np.ndarray,
@@ -363,14 +367,33 @@ class LyapunovTracker:
                                      np.tile(z_star, (problem.n_nodes, 1)), problem.lam)
         self.Q_star = -alpha * (U_pinv @ B_star)
         self.z_star = z_star
-        self.targets = [[eval_component(op, z_star) for op in ops_n]
-                        for ops_n in problem.ops]
+        self.problem = problem
         q = problem.shards.q_min
         self.c = q / (96.0 * L * L)
         self.sum_Z: np.ndarray | None = None
         self.history: list[tuple[int, float]] = []
 
-    def update(self, t: int, Z: np.ndarray, states: list[NodeState]) -> None:
+    @functools.cached_property
+    def node_targets(self) -> list[list[SparseVec]]:
+        """B_{n,i}(z*) per node and sample, in the per-node tables' form."""
+        return [[eval_component(op, self.z_star) for op in ops_n]
+                for ops_n in self.problem.ops]
+
+    @functools.cached_property
+    def row_targets(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """B_i(z*) per sample row, in the batched table's form."""
+        S = self.problem.samples
+        z = self.z_star
+        return S.row_terms(S.X @ z[:S.d], z[S.d:] if S.family == "auc" else None)
+
+    def table_term(self, table: list[NodeState] | BatchedTable) -> float:
+        """D^t of the engine's table."""
+        if isinstance(table, BatchedTable):
+            return table.distance_to(*self.row_targets)
+        return sum((2.0 / st.q) * st.table.distance_to(tg)
+                   for st, tg in zip(table, self.node_targets))
+
+    def update(self, t: int, Z: np.ndarray, table: list[NodeState] | BatchedTable) -> None:
         self.sum_Z = Z.copy() if self.sum_Z is None else self.sum_Z + Z
         if t % self.every:
             return
@@ -378,9 +401,7 @@ class LyapunovTracker:
         term_z = float(np.sum(dZ * (self.Wt @ dZ)))
         dQ = self.U @ self.sum_Z - self.Q_star
         term_q = float(np.sum(dQ * dQ))
-        D = sum((2.0 / st.q) * st.table.distance_to(tg)
-                for st, tg in zip(states, self.targets))
-        self.history.append((t, term_z + term_q + self.c * D))
+        self.history.append((t, term_z + term_q + self.c * self.table_term(table)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +428,7 @@ def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
         for n, state in enumerate(states):
             Znew[n], _, _ = step(state, mixed_all[n])
         Zp, Z = Z, Znew
-        if on_round(t, Z):
+        if on_round(t, Z, states):
             break
     return Z
 
@@ -443,61 +464,27 @@ def _run_batched(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
     mean of S is zero in exact arithmetic, so it is subtracted after each
     update: rounding then cannot pile up along the consensus direction,
     where the float64 mixing form drifts linearly with the round count.
-
-    A table entry phi_i is a coefficient times the sample row (plus three
-    tail values for auc), so the table is one coefficient per sample. The
-    engine follows the generic engine's per-node rng streams, and advances
-    the operator counters as it would."""
-    samples, family = problem.samples, problem.family
-    N, d, lam = problem.n_nodes, samples.d, problem.lam
-    X = samples.X.toarray()
-    na2 = np.einsum("ij,ij->i", X, X)
-    sizes = np.bincount(samples.row_node)
+    The table, sample streams and kernels are `BatchedTable`'s."""
+    N, lam = problem.n_nodes, problem.lam
     Z = np.tile(z0, (N, 1))
-    auc = family == "auc"
-    coef, tails = samples.row_terms(samples.Xb @ Z[:, :d].ravel(),
-                                    Z[samples.row_node, d:] if auc else None)
-    phibar = node_means(samples, coef, tails)
+    table = BatchedTable(problem.samples, Z, seed)
     S = np.zeros_like(Z)
-    # J_{alpha (B + lam I)}(psi) = J_{rho alpha B}(rho psi)
-    rho = 1.0 / (1.0 + lam * alpha)
-    rngs = [np.random.default_rng([seed, n]) for n in range(N)]
-    qs = sizes.tolist()
     for t in range(rounds):
-        r = samples.starts + np.array([rng.integers(q) for rng, q in zip(rngs, qs)])
-        A = X[r]
+        r, A = table.draw()
         WZ = mix.Wt @ Z
         S += Z - WZ
         S -= S.sum(axis=0) / N
         if variant == "dsba":
-            psi = WZ - S - alpha * phibar
-            psi[:, :d] += (alpha * coef[r])[:, None] * A
-            if auc:
-                psi[:, d:] += alpha * tails[r]
-            psi *= rho
-            e, tail = resolve_margins(family, np.einsum("nd,nd->n", psi[:, :d], A),
-                                      na2[r], samples.y[r], rho * alpha,
-                                      psi[:, d:], samples.p)
-            psi[:, :d] -= (rho * alpha * e)[:, None] * A
-            if auc:
-                psi[:, d:] = tail
-            COUNTERS["resolves"] += N
-            Znew = at = psi
+            psi = WZ - S - alpha * table.phibar
+            table.add_phi(psi, r, A, alpha)
+            Znew = table.resolve(psi, r, A, alpha, lam)
+            table.update(Znew, r, A)
         else:
-            at = Z
-        new_coef, new_tails = samples.row_terms(np.einsum("nd,nd->n", at[:, :d], A),
-                                                at[:, d:] if auc else None, rows=r)
-        delta = np.zeros_like(Z)
-        delta[:, :d] = (new_coef - coef[r])[:, None] * A
-        if auc:
-            delta[:, d:] = new_tails - tails[r]
-            tails[r] = new_tails
-        if variant == "dsa":
-            Znew = WZ - S - alpha * (delta + phibar + lam * Z)
-        phibar += delta / sizes[:, None]
-        coef[r] = new_coef
+            V = table.phibar + lam * Z
+            V += table.update(Z, r, A)
+            Znew = WZ - S - alpha * V
         Z = Znew
-        if on_round(t, Z):
+        if on_round(t, Z, table):
             break
     return Z
 
@@ -516,12 +503,14 @@ def _load_shards(config: RunConfig) -> ds.Shards:
 
 
 def _pick_engine(config: RunConfig) -> str:
-    """The engine label: "fast", the batched engine, for dense dsba and dsa
-    under engine = auto; else "generic", the per-node loop that Point-SAGA,
-    sparse runs and Lyapunov tracking (it reads the per-node tables) use,
-    and the label EXTRA's own full-activation loop reports."""
-    fast_ok = (config.engine == "auto" and config.comm == "dense"
-               and config.variant in ("dsba", "dsa") and not config.track_lyapunov)
+    """The engine label: "fast", the batched steps, for every sparse run and
+    for dense dsba and dsa under engine = auto; else "generic", the per-node
+    loop that Point-SAGA and dense Lyapunov tracking (it rebuilds the dual
+    from the iterates) use, and the label EXTRA's own full-activation loop
+    reports."""
+    fast_ok = config.comm == "sparse" or (
+        config.engine == "auto" and config.variant in ("dsba", "dsa")
+        and not config.track_lyapunov)
     return "fast" if fast_ok else "generic"
 
 
@@ -589,7 +578,6 @@ def run(config: RunConfig) -> RunResult:
         0, 0.0, 1.0 if denom > 1e-299 else 0.0, init_score,
         0, time.perf_counter() - t_start))
 
-    states: list[NodeState] = []
     tracker: LyapunovTracker | None = None
     if config.track_lyapunov:
         tracker = LyapunovTracker(mix, problem, z_star, alpha, L,
@@ -597,11 +585,11 @@ def run(config: RunConfig) -> RunResult:
 
     stop = config.stop_subopt
 
-    def on_round(t: int, Z: np.ndarray) -> bool:
+    def on_round(t: int, Z: np.ndarray, table=None) -> bool:
         if trajectory is not None:
             trajectory.append(Z.copy())
         if tracker is not None:
-            tracker.update(t + 1, Z, states)
+            tracker.update(t + 1, Z, table)
         last = t + 1 == config.rounds
         if (t + 1) % metric_every == 0 or last:
             record(t, Z)
@@ -611,26 +599,25 @@ def run(config: RunConfig) -> RunResult:
 
     engine = _pick_engine(config)
 
-    def start_states() -> list[NodeState]:
-        nonlocal states
-        states = _make_states(problem, alpha, config.seed, z0)
-        if tracker is not None:
-            tracker.update(0, Z0, states)
-        return states
-
     if config.rounds == 0:
         Z_final = Z0
     elif net is not None:
-        Z_final, _ = run_sparse(start_states(), mix, config.rounds,
-                                variant=config.variant, on_round=on_round, net=net)
+        if tracker is not None:
+            tracker.update(0, Z0, BatchedTable(problem.samples, Z0, config.seed))
+        Z_final, _ = run_sparse(problem.samples, mix, Z0, config.rounds, alpha=alpha,
+                                lam=lam, seed=config.seed, variant=config.variant,
+                                on_round=on_round, net=net)
     elif config.variant == "extra":
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     elif engine == "fast":
         Z_final = _run_batched(problem, mix, config.rounds, alpha, config.seed,
                                z0, config.variant, on_round)
     else:
-        Z_final = _run_dense_generic(start_states(), mix, config.rounds,
-                                     config.variant, on_round)
+        states = _make_states(problem, alpha, config.seed, z0)
+        if tracker is not None:
+            tracker.update(0, Z0, states)
+        Z_final = _run_dense_generic(states, mix, config.rounds, config.variant,
+                                     on_round)
 
     gamma = mix.gamma
     manifest = {

@@ -12,9 +12,10 @@ state is kept once for the whole network (`ObserverMemory`):
 
 which is exactly enough to rebuild every node's resolvent argument each
 round. The recursion that rolls these forward is derived from the dense
-update rule (the same code path as the dense engine computes the local
-step), so sparse and dense trajectories agree to numerical precision;
-equivalence is pinned by tests rather than by any closed-form unfolding.
+update rule, and every node's local step runs on the batched engine's
+kernels (`BatchedTable`), so sparse and dense trajectories agree to
+numerical precision; equivalence is pinned by tests rather than by any
+closed-form unfolding.
 
 Each delta is written once, by its origin, into the round's N x d block.
 Observer o reads origin m's corrections only below the delivered-round
@@ -27,33 +28,19 @@ has already heard, so the shared depth needs no extra traffic.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithms import NodeState, dsa_node_step, dsba_node_step
-from .sparse import SparseVec
+from .algorithms import BatchedTable
+# the per-node step is the reference the batched round is tested against;
+# perfbench/spans.py traces it under this module's name as well
+from .algorithms import dsba_node_step  # noqa: F401
+from .operators import SampleMatrix
 from .topology import MixingMatrix
 
 
 class ProtocolError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class DeltaPacket:
-    origin: int
-    round: int
-    payload: SparseVec
-
-    @property
-    def value_doubles(self) -> int:
-        return self.payload.nnz
-
-    @property
-    def metadata_doubles(self) -> int:
-        # indices, plus origin and round tags
-        return self.payload.nnz + 2
 
 
 class Network:
@@ -68,17 +55,23 @@ class Network:
         # reach[k][o, u]: o's packets reach u after k + 1 rounds (one empty
         # delay on a single node, so that sent rounds still retire)
         self._reach = [distances == k for k in range(1, max(distances.max(), 1) + 1)]
-        self._sent: defaultdict[int, list[DeltaPacket]] = defaultdict(list)
-        # round -> (origins that sent, their value doubles, metadata doubles)
-        self._in_flight: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        # origin and round tags each destination receives per round and delay
+        self._tags = [2 * reach.sum(axis=0) for reach in self._reach]
+        # round -> each send's per-origin value counts (more than one send
+        # of a round is a protocol error, raised when it is delivered)
+        self._sent: defaultdict[int, list[np.ndarray]] = defaultdict(list)
+        # round -> per-origin value counts of its packets still relayed
+        self._in_flight: dict[int, np.ndarray] = {}
         self.value_doubles = np.zeros(self.n, dtype=np.int64)
         self.metadata_doubles = np.zeros(self.n, dtype=np.int64)
         self.broadcast_doubles = np.zeros(self.n, dtype=np.int64)
         # payload values delivered per round, for per-round bound checks
         self.round_values: dict[int, np.ndarray] = {}
 
-    def broadcast(self, packet: DeltaPacket) -> None:
-        self._sent[packet.round].append(packet)
+    def broadcast(self, t: int, nnz: np.ndarray) -> None:
+        """Send round t's packets, one per origin: origin m's carries nnz[m]
+        values and as many indices, plus its origin and round tags."""
+        self._sent[t].append(np.asarray(nnz, dtype=np.int64))
 
     def account_dense_round(self, degrees: np.ndarray, d: int) -> None:
         self.broadcast_doubles += degrees.astype(np.int64) * d
@@ -87,23 +80,20 @@ class Network:
         """Arrivals at the start of round t: entry [u, o] is the round s of
         the packet from origin o that reaches u now (s + dist(o, u) = t), or
         -1 for none. Round t - 1's packets set off now."""
-        sent = np.zeros(self.n, dtype=bool)
-        nnz = np.zeros(self.n, dtype=np.int64)
-        metadata = np.zeros(self.n, dtype=np.int64)
-        for p in self._sent.pop(t - 1, ()):
-            if sent[p.origin]:
-                raise ProtocolError(f"duplicate delivery {(p.origin, p.round)}")
-            sent[p.origin] = True
-            nnz[p.origin], metadata[p.origin] = p.value_doubles, p.metadata_doubles
-        self._in_flight[t - 1] = (sent, nnz, metadata)
+        sends = self._sent.pop(t - 1, [])
+        if len(sends) > 1:
+            raise ProtocolError(f"duplicate delivery of round {t - 1}")
+        if sends:
+            self._in_flight[t - 1] = sends[0]
         arrivals = np.full((self.n, self.n), -1, dtype=np.int64)
         values = np.zeros(self.n, dtype=np.int64)
-        for delay, reach in enumerate(self._reach, 1):
-            if (flight := self._in_flight.get(t - delay)) is not None:
-                sent, nnz, metadata = flight
-                values += nnz @ reach
-                self.metadata_doubles += metadata @ reach
-                arrivals[reach.T & sent] = t - delay
+        for delay, (reach, tags) in enumerate(zip(self._reach, self._tags), 1):
+            if (nnz := self._in_flight.get(t - delay)) is not None:
+                heard = nnz @ reach
+                values += heard
+                # a packet's metadata is its indices plus the two tags
+                self.metadata_doubles += heard + tags
+                arrivals[reach.T] = t - delay
         self._in_flight.pop(t - len(self._reach), None)
         self.round_values[t] = values
         self.value_doubles += values
@@ -147,9 +137,9 @@ class ObserverMemory:
         """Advance the watermark by one round of arrivals (see
         `Network.deliver`); each must be the next round from its origin."""
         got = arrivals >= 0
-        bad = np.argwhere(got & (arrivals != self.heard + 1))
-        if len(bad):
-            o, m = bad[0]
+        bad = got & (arrivals != self.heard + 1)
+        if bad.any():
+            o, m = np.argwhere(bad)[0]
             raise ProtocolError(f"observer {o} heard delta (origin={m}, "
                                 f"round={arrivals[o, m]}) after round {self.heard[o, m]}")
         self.heard[got] = arrivals[got]
@@ -157,9 +147,9 @@ class ObserverMemory:
     def _block(self, s: int, support=True) -> np.ndarray:
         """G_s, once every observer has heard every origin of `support`
         (observer x origin mask) up to round s."""
-        late = np.argwhere(support & (self.heard < s))
-        if len(late):
-            o, m = late[0]
+        late = support & (self.heard < s)
+        if late.any():
+            o, m = np.argwhere(late)[0]
             raise ProtocolError(f"observer {o} missing delta "
                                 f"(origin={m}, round={self.heard[o, m] + 1})")
         return self.G[s]
@@ -209,12 +199,8 @@ class ObserverMemory:
         self.gens[t] = gt
         return 2.0 * gt[1] - g_prev[1]
 
-    def finish_round(self, t: int, deltas: list[SparseVec]) -> None:
-        """Write the round's deltas, each by its origin, and close round t."""
-        block = np.zeros_like(self.D_prev)
-        rows = np.repeat(np.arange(len(deltas)), [v.nnz for v in deltas])
-        block[rows, np.concatenate([v.idx for v in deltas])] = \
-            np.concatenate([v.val for v in deltas])
+    def finish_round(self, t: int, block: np.ndarray) -> None:
+        """Close round t on its delta block, row m written by origin m."""
         np.fill_diagonal(self.heard, t)
         self.G[t] = self.carry * self.D_prev - block
         self.G.pop(t - self.depth - 1, None)
@@ -228,43 +214,67 @@ def bootstrap_rounds(mix: MixingMatrix) -> int:
     return int(mix.eccentricities.max()) + 3
 
 
-def run_sparse(states: list[NodeState], mix: MixingMatrix, rounds: int,
-               variant: str = "dsba", on_round=None,
-               net: Network | None = None) -> tuple[np.ndarray, Network]:
+def run_sparse(samples: SampleMatrix, mix: MixingMatrix, Z0: np.ndarray, rounds: int,
+               *, alpha: float, lam: float, seed: int, variant: str = "dsba",
+               on_round=None, net: Network | None = None) -> tuple[np.ndarray, Network]:
     """Execute `rounds` synchronous rounds under the sparse protocol.
 
-    `states` must be freshly initialized (t = 0). `on_round(t, Z)` is called
-    after every round with the stacked iterate matrix. `net` is a fresh
-    network on `mix`'s graph, passed in by callers that read its traffic
-    inside `on_round`; by default one is built here. Returns the final
-    iterate matrix and the network (for communication accounting).
+    Every node starts at its row of `Z0` with its table anchored there and
+    draws from `default_rng([seed, n])`. All nodes step in one array round
+    on `BatchedTable`'s kernels, in the per-node update's primal form (see
+    `algorithms`): psi = W Z - alpha phibar + alpha phi_i at round 0 and
+    psi = mixed + alpha lam Z + alpha (q-1)/q Delta^- + alpha phi_i after,
+    resolved row-wise (dsba), or the explicit form (dsa). After the dense
+    warm-up, `mixed` is rebuilt by the observers from the relayed deltas.
+    A node's packet carries its delta's nonzeros: the sample row's, plus
+    two tail values for auc.
+
+    `on_round(t, Z, table)` is called after every round with the stacked
+    iterate matrix and the `BatchedTable`; a true result stops the run.
+    `net` is a fresh network on `mix`'s graph, passed in by callers that
+    read its traffic inside `on_round`; by default one is built here.
+    Returns the final iterate matrix and the network (for communication
+    accounting).
     """
-    d = states[0].table.dim
-    step = dsba_node_step if variant == "dsba" else dsa_node_step
     if net is None:
         net = Network(mix.distances)
-    memory = ObserverMemory(mix, np.array([s.q for s in states]), d,
-                            states[0].alpha, states[0].lam, variant)
+    Z = Zp = np.array(Z0, dtype=np.float64)
+    dim = Z.shape[1]
+    table = BatchedTable(samples, Z, seed)
+    payload = np.diff(samples.X.indptr) + (2 if table.auc else 0)
+    memory = ObserverMemory(mix, table.sizes, dim, alpha, lam, variant)
+    carry_alpha = alpha * memory.carry
+    delta_prev = np.zeros_like(Z)
     t_boot = min(bootstrap_rounds(mix), rounds)
-    Z = Zp = np.stack([s.z for s in states])
     z_hist = [Z]
     for t in range(rounds):
         if t < t_boot:
-            mixed_all = mix.W @ Z if t == 0 else mix.Wt @ (2.0 * Z - Zp)
-            net.account_dense_round(mix.adjacency.sum(axis=1), d)
+            mixed = mix.W @ Z if t == 0 else mix.Wt @ (2.0 * Z - Zp)
+            net.account_dense_round(mix.adjacency.sum(axis=1), dim)
         else:
             if t > t_boot:
                 memory.absorb(net.deliver(t))
-            mixed_all = memory.advance(t)
-        Znew = np.empty_like(Z)
-        deltas = []
-        for n, state in enumerate(states):
-            Znew[n], delta, _ = step(state, mixed_all[n])
-            net.broadcast(DeltaPacket(n, t, delta))
-            deltas.append(delta)
-        memory.finish_round(t, deltas)
+            mixed = memory.advance(t)
+        r, A = table.draw()
+        if variant == "dsba":
+            if t == 0:
+                psi = mixed - alpha * table.phibar
+            else:
+                psi = mixed + (alpha * lam) * Z + carry_alpha * delta_prev
+            table.add_phi(psi, r, A, alpha)
+            Znew = table.resolve(psi, r, A, alpha, lam)
+            delta = table.update(Znew, r, A)
+        elif t == 0:
+            delta = table.update(Z, r, A)
+            Znew = mixed - alpha * (table.phibar + lam * Z)
+        else:
+            delta = table.update(Z, r, A)
+            Znew = mixed - (alpha * lam) * (Z - Zp) + carry_alpha * delta_prev - alpha * delta
+        net.broadcast(t, payload[r])
+        memory.finish_round(t, delta)
+        delta_prev = delta
         Zp, Z = Z, Znew
-        if on_round is not None and on_round(t, Z):
+        if on_round is not None and on_round(t, Z, table):
             break
         if t < t_boot:
             z_hist.append(Z)

@@ -311,7 +311,8 @@ def test_sparse_protocol_matches_dense(variant, graph):
         Z = np.stack([s.z for s in states])
         hist.append(Z.copy())
 
-    Z_sparse, net = run_sparse(fresh_states(), mix, rounds, variant=variant)
+    Z_sparse, net = run_sparse(problem.samples, mix, z0, rounds, alpha=alpha, lam=lam,
+                               seed=33, variant=variant)
     err = np.max(np.abs(Z_sparse - hist[-1]))
     assert err <= 1e-9, err
     assert time.time() - t0 < 30.0

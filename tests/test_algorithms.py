@@ -32,6 +32,18 @@ def _ops(rng, d, q, lam=0.1, family="ridge"):
     return ops
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 30, 1000, 2**20, 2**31 - 1])
+def test_block_draws_match_single_draws(q):
+    # batched engines draw each node's samples in blocks; that must be the
+    # stream of single draws the per-node steps take
+    for seed in ([0, 0], [5, 3], [101, 9]):
+        single = np.random.default_rng(seed)
+        block = np.random.default_rng(seed)
+        expected = [int(single.integers(q)) for _ in range(500)]
+        assert block.integers(q, size=300).tolist() + block.integers(q, size=200).tolist() \
+            == expected
+
+
 def test_phitable_initialization():
     rng = np.random.default_rng(0)
     d, q = 6, 5
@@ -135,7 +147,7 @@ def test_pointsaga_equals_dsba_self_loop():
     b = make_node(0, ops_a, 0.1, 0.2, z0, seed=3)
     seen = []
 
-    def on_round(t, Z):
+    def on_round(t, Z, states):
         seen.append(Z[0].copy())
         return False
 

@@ -22,6 +22,7 @@ from dsba.simulator import (
     synthetic_samples,
 )
 from dsba.dataset import partition
+from dsba.sparsecomm import bootstrap_rounds
 
 
 def _spec(**kw):
@@ -190,14 +191,15 @@ def test_fast_engine_matches_generic(family, variant, n_samples):
     (dict(family="auc", variant="dsa"), "fast"),
     (dict(n_samples=39), "fast"),
     (dict(engine="generic"), "generic"),
-    (dict(comm="sparse"), "generic"),
+    (dict(comm="sparse"), "fast"),
     (dict(variant="extra"), "generic"),
     (dict(track_lyapunov=True), "generic"),
     (dict(variant="pointsaga", n_nodes=1), "generic"),
 ])
 def test_engine_choice(kw, engine):
     # auto picks the batched engine for dense dsba/dsa on every family and
-    # shard layout; the per-node loop keeps everything else
+    # shard layout, and sparse runs always step on it; the per-node loop
+    # keeps everything else
     kw = dict(kw)
     family = kw.setdefault("family", "ridge")
     spec = _spec(kind="ridge" if family == "ridge" else "classification",
@@ -270,9 +272,65 @@ def test_sparse_matches_dense_with_mixed_eccentricities(variant, topology, n_nod
     assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
 
 
-def test_sparse_manifest_summarises_traffic():
-    from dsba.sparsecomm import bootstrap_rounds
+def _traffic_oracle(res):
+    """Per-node payload values, metadata and dense warm-up doubles of a
+    sparse run, packet by packet: node n's round-s packet carries its drawn
+    sample's nonzeros (two more for auc's tail) and reaches every u != n at
+    round s + dist(n, u); rounds are delivered up to the run's last."""
+    cfg, mix, S = res.config, res.mix, res.problem.samples
+    last = cfg.rounds - 1
+    values = np.zeros(cfg.n_nodes, dtype=np.int64)
+    metadata = np.zeros(cfg.n_nodes, dtype=np.int64)
+    for n, ops in enumerate(res.problem.ops):
+        rng = np.random.default_rng([cfg.seed, n])
+        for s in range(cfg.rounds):
+            op = ops[int(rng.integers(len(ops)))]
+            payload = op.sample.nnz + (2 if cfg.family == "auc" else 0)
+            for u in range(cfg.n_nodes):
+                if u != n and s + mix.distances[n, u] <= last:
+                    values[u] += payload
+                    metadata[u] += payload + 2
+    dense = bootstrap_rounds(mix) * mix.adjacency.sum(axis=1).astype(np.int64) * res.problem.dim
+    return values, metadata, dense
 
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_sparse_matches_dense_generic(family, variant):
+    # 39 samples on 4 nodes gives shards of 10, 10, 10 and 9
+    kind = "ridge" if family == "ridge" else "classification"
+    common = dict(family=family, variant=variant, n_nodes=4, topology="path",
+                  synthetic=_spec(kind=kind, d=10, n_samples=39, nnz=4, margin=0.05),
+                  lam=0.05, rounds=200, seed=3, metric_every=50)
+    dense = run(RunConfig(comm="dense", engine="generic", **common))
+    sparse = run(RunConfig(comm="sparse", **common))
+    assert len({len(ops) for ops in sparse.problem.ops}) == 2
+    assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
+    assert sparse.manifest["counters"] == dense.manifest["counters"]
+    values, metadata, warmup = _traffic_oracle(sparse)
+    traffic = sparse.manifest["traffic"]
+    assert traffic["payload_values"] == values.tolist()
+    assert traffic["metadata"] == metadata.tolist()
+    assert traffic["dense_warmup"] == warmup.tolist()
+    assert np.array_equal(sparse.received_doubles, values + warmup)
+
+
+@pytest.mark.parametrize("family", ["ridge", "auc"])
+def test_sparse_lyapunov_matches_dense_generic(family):
+    # the batched table hands over the same table term as the per-node tables
+    kind = "ridge" if family == "ridge" else "classification"
+    common = dict(family=family, synthetic=_spec(kind=kind, n_samples=60, margin=0.05),
+                  n_nodes=3, topology="path", lam=0.1, rounds=50, seed=6,
+                  track_lyapunov=True, lyapunov_every=10)
+    dense = run(RunConfig(engine="generic", **common))
+    sparse = run(RunConfig(comm="sparse", **common))
+    assert [t for t, _ in sparse.lyapunov] == [t for t, _ in dense.lyapunov] \
+        == list(range(0, 51, 10))
+    np.testing.assert_allclose([h for _, h in sparse.lyapunov],
+                               [h for _, h in dense.lyapunov], rtol=1e-9, atol=0)
+
+
+def test_sparse_manifest_summarises_traffic():
     common = dict(family="ridge", variant="dsba", engine="generic", n_nodes=5,
                   topology="path", synthetic=_spec(d=12, n_samples=30, nnz=3),
                   lam=0.05, rounds=40, seed=1)

@@ -3,10 +3,8 @@ import pytest
 
 from dsba.algorithms import dsa_node_step, dsba_node_step, make_node
 from dsba.dataset import Sample
-from dsba.operators import make_operator
-from dsba.sparse import SparseVec
+from dsba.operators import SampleMatrix, make_operator
 from dsba.sparsecomm import (
-    DeltaPacket,
     Network,
     ObserverMemory,
     ProtocolError,
@@ -16,37 +14,28 @@ from dsba.sparsecomm import (
 from dsba.topology import bfs_distances, build_mixing, make_adjacency
 
 
-def _packet(origin, rnd, nnz=3, dim=10):
-    payload = SparseVec(np.arange(nnz, dtype=np.int64), np.ones(nnz), dim)
-    return DeltaPacket(origin, rnd, payload)
-
-
-def test_packet_accounting_split():
-    p = _packet(0, 5, nnz=4)
-    assert p.value_doubles == 4
-    assert p.metadata_doubles == 6  # indices + origin and round tags
-
-
 def test_network_delivers_once_per_destination():
     A = make_adjacency("path", 4)
-    net = Network(bfs_distances(A))
-    net.broadcast(_packet(0, 0))
+    distances = bfs_distances(A)
+    net = Network(distances)
+    net.broadcast(0, np.full(4, 3))
     seen = {}
     for t in range(0, 5):
         arrivals = net.deliver(t)
         for dest, origin in np.argwhere(arrivals >= 0):
-            assert (origin, arrivals[dest, origin]) == (0, 0)
-            assert dest not in seen
-            seen[dest] = t
-    # each other node got the packet exactly once, at its hop distance
-    assert seen == {1: 1, 2: 2, 3: 3}
+            assert arrivals[dest, origin] == 0
+            assert (dest, origin) not in seen
+            seen[dest, origin] = t
+    # each other node got each origin's packet exactly once, at its hop distance
+    assert {dest: t for (dest, origin), t in seen.items() if origin == 0} == {1: 1, 2: 2, 3: 3}
+    assert seen == {(u, o): distances[o, u] for o in range(4) for u in range(4) if u != o}
 
 
 def test_network_rejects_duplicate_delivery():
     A = make_adjacency("complete", 3)
     net = Network(bfs_distances(A))
-    net.broadcast(_packet(0, 0))
-    net.broadcast(_packet(0, 0))
+    net.broadcast(0, np.full(3, 3))
+    net.broadcast(0, np.full(3, 3))
     with pytest.raises(ProtocolError):
         net.deliver(1)
 
@@ -64,26 +53,37 @@ def test_bootstrap_rounds_covers_eccentricity():
     assert bootstrap_rounds(mix) >= mix.eccentricities.max()
 
 
-def _make_states(mix, d=12, q=6, lam=0.05, seed=11, data_seed=31):
+ALPHA, LAM, SEED = 0.02, 0.05, 11
+
+
+def _data(mix, d=12, q=6, data_seed=31):
+    """Per-node ridge samples (q per node, 4 nonzeros each) and z0."""
     rng = np.random.default_rng(data_seed)
-    N = mix.n
-    states = []
-    z0 = rng.standard_normal((N, d))
-    all_ops = []
-    for n in range(N):
-        ops = []
+    z0 = rng.standard_normal((mix.n, d))
+    per_node = []
+    for _ in range(mix.n):
+        shard = []
         for _ in range(q):
             idx = np.sort(rng.choice(d, size=4, replace=False)).astype(np.int64)
             val = rng.standard_normal(4)
             val /= np.linalg.norm(val)
-            ops.append(make_operator("ridge", Sample(idx, val, float(rng.standard_normal())), lam, d))
-        all_ops.append(ops)
-    alpha = 0.02
-    return [make_node(n, all_ops[n], alpha, lam, z0[n], seed=seed) for n in range(N)], all_ops, z0, alpha
+            shard.append(Sample(idx, val, float(rng.standard_normal())))
+        per_node.append(shard)
+    return per_node, z0
+
+
+def _run_sparse(mix, rounds, d=12, q=6, **kw):
+    per_node, z0 = _data(mix, d=d, q=q)
+    samples = SampleMatrix.from_shards("ridge", per_node, d)
+    return run_sparse(samples, mix, z0, rounds, alpha=ALPHA, lam=LAM, seed=SEED, **kw)
 
 
 def _dense_reference(mix, variant, rounds, d=12):
-    states, _, _, _ = _make_states(mix, d=d)
+    # the per-node update rule, one node at a time
+    per_node, z0 = _data(mix, d=d)
+    states = [make_node(n, [make_operator("ridge", s, LAM, d) for s in shard],
+                        ALPHA, LAM, z0[n], seed=SEED)
+              for n, shard in enumerate(per_node)]
     step = dsba_node_step if variant == "dsba" else dsa_node_step
     Z = np.stack([s.z for s in states])
     for t in range(rounds):
@@ -102,8 +102,7 @@ def _dense_reference(mix, variant, rounds, d=12):
 @pytest.mark.parametrize("kind,n", [("ring", 5), ("path", 4), ("complete", 3)])
 def test_sparse_equals_dense_small(variant, kind, n):
     mix = build_mixing(make_adjacency(kind, n))
-    states, _, _, _ = _make_states(mix, d=12)
-    Z_sparse, net = run_sparse(states, mix, 60, variant=variant)
+    Z_sparse, net = _run_sparse(mix, 60, variant=variant)
     assert np.max(np.abs(Z_sparse - _dense_reference(mix, variant, 60))) < 1e-10
 
 
@@ -115,8 +114,7 @@ def test_sparse_equals_dense_across_warmup_boundary(variant, kind, n):
     mix = build_mixing(make_adjacency(kind, n))
     b = bootstrap_rounds(mix)
     for rounds in (1, b - 1, b, b + 1, b + 2):
-        states, _, _, _ = _make_states(mix, d=12)
-        Z_sparse, _ = run_sparse(states, mix, rounds, variant=variant)
+        Z_sparse, _ = _run_sparse(mix, rounds, variant=variant)
         gap = np.max(np.abs(Z_sparse - _dense_reference(mix, variant, rounds)))
         assert gap < 1e-10, (rounds, gap)
 
@@ -125,10 +123,10 @@ def test_sparse_payload_bounded_by_support():
     # after bootstrap, per-round payload per node is at most
     # (number of origins) * (max delta support)
     mix = build_mixing(make_adjacency("ring", 5))
-    states, all_ops, _, _ = _make_states(mix, d=20, q=5)
-    max_nnz = max(op.sample.nnz for ops in all_ops for op in ops)
+    per_node, _ = _data(mix, d=20, q=5)
+    max_nnz = max(s.nnz for shard in per_node for s in shard)
     rounds = 50
-    _, net = run_sparse(states, mix, rounds, variant="dsba")
+    _, net = _run_sparse(mix, rounds, d=20, q=5, variant="dsba")
     boot = bootstrap_rounds(mix)
     for t, vals in net.round_values.items():
         if t > boot + 1:
@@ -137,14 +135,13 @@ def test_sparse_payload_bounded_by_support():
 
 def test_run_sparse_on_round_early_stop():
     mix = build_mixing(make_adjacency("ring", 4))
-    states, _, _, _ = _make_states(mix, d=8, q=4)
     calls = []
 
-    def on_round(t, Z):
+    def on_round(t, Z, table):
         calls.append(t)
         return t >= 10
 
-    run_sparse(states, mix, 100, variant="dsba", on_round=on_round)
+    _run_sparse(mix, 100, d=8, q=4, variant="dsba", on_round=on_round)
     assert calls[-1] == 10
 
 
@@ -166,17 +163,16 @@ class _Withholding(Network):
 @pytest.mark.parametrize("origin,dest", [(0, 3), (2, 1), (3, 2)])
 def test_observer_needs_every_delta_it_reads(origin, dest):
     mix = build_mixing(make_adjacency("path", 4))
-    states, _, _, _ = _make_states(mix, d=8, q=4)
     rnd = bootstrap_rounds(mix) + 4
     net = _Withholding(mix.distances, origin, rnd, dest)
     done = []
 
-    def on_round(t, Z):
+    def on_round(t, Z, table):
         done.append(t)
 
     with pytest.raises(ProtocolError, match=f"observer {dest} missing delta "
                                             f"\\(origin={origin}, round={rnd}\\)"):
-        run_sparse(states, mix, 60, variant="dsba", on_round=on_round, net=net)
+        _run_sparse(mix, 60, d=8, q=4, variant="dsba", on_round=on_round, net=net)
     # the observer first reads the delta in the round the packet was due
     assert done[-1] == rnd + mix.distances[origin, dest] - 1
 
@@ -201,15 +197,15 @@ def test_observer_rejects_gap_and_repeat():
 
 
 class _Recording(Network):
-    """Keeps every packet sent and every inbox delivered."""
+    """Keeps every round sent and every inbox delivered."""
 
     def __init__(self, distances):
         super().__init__(distances)
         self.sent, self.arrivals = [], {}
 
-    def broadcast(self, packet):
-        self.sent.append(packet)
-        super().broadcast(packet)
+    def broadcast(self, t, nnz):
+        self.sent.append((t, np.array(nnz)))
+        super().broadcast(t, nnz)
 
     def deliver(self, t):
         self.arrivals[t] = super().deliver(t)
@@ -219,20 +215,22 @@ class _Recording(Network):
 def test_network_accounting_matches_per_packet_oracle():
     # packet by packet: (o, s) reaches every u != o at round s + dist(o, u)
     mix = build_mixing(make_adjacency("erdos_renyi", 7, p=0.4, seed=2))
-    states, _, _, _ = _make_states(mix, d=12, q=5)
     net = _Recording(mix.distances)
-    run_sparse(states, mix, 30, variant="dsa", net=net)
+    _run_sparse(mix, 30, d=12, q=5, variant="dsa", net=net)
     last = max(net.arrivals)
     values = {t: np.zeros(mix.n, dtype=np.int64) for t in net.arrivals}
     metadata = np.zeros(mix.n, dtype=np.int64)
     arrivals = {t: [set() for _ in range(mix.n)] for t in net.arrivals}
-    for p in net.sent:
-        for u in range(mix.n):
-            t = p.round + mix.distances[p.origin, u]
-            if u != p.origin and t <= last:
-                values[t][u] += p.value_doubles
-                metadata[u] += p.metadata_doubles
-                arrivals[t][u].add((p.origin, p.round))
+    assert [s for s, _ in net.sent] == list(range(30))
+    for s, nnz in net.sent:
+        for origin, value_doubles in enumerate(nnz):
+            for u in range(mix.n):
+                t = s + mix.distances[origin, u]
+                if u != origin and t <= last:
+                    values[t][u] += value_doubles
+                    # indices, plus origin and round tags
+                    metadata[u] += value_doubles + 2
+                    arrivals[t][u].add((origin, s))
     for t, arr in net.arrivals.items():
         assert np.array_equal(net.round_values[t], values[t])
         assert [{(o, r) for o, r in enumerate(row) if r >= 0} for row in arr.tolist()] \
