@@ -3,9 +3,9 @@
 Implements the implicit (resolvent-based) variance-reduced update, its
 explicit counterpart and the full-activation baseline round. On a single
 node (self-loop mixing, W = Wt = 1) the implicit update is Point-SAGA.
-`BatchedTable` holds every node's table and kernels as arrays, for the
-engines that step all nodes in one array round; the per-node steps are the
-reference it is tested against.
+`BatchedTable.step` takes every node's round at once, in primal-dual form,
+for the dense batched engine and the sparse relay alike; the per-node steps
+are the reference it is tested against.
 
 Conventions shared by every method:
 
@@ -209,8 +209,9 @@ def node_means(samples: SampleMatrix, coef: np.ndarray,
 
 
 class BatchedTable:
-    """Every node's table, sample stream and single-sample kernels as arrays,
-    for engines that step all N nodes in one array round.
+    """Every node's table, sample stream, single-sample kernels and dual as
+    arrays, for the engines that step all N nodes in one array round
+    (`step`).
 
     A table entry phi_i is a coefficient times the sample row (plus three
     tail values for auc), so the table is one coefficient per sample and a
@@ -228,9 +229,45 @@ class BatchedTable:
         self.coef, self.tails = samples.row_terms(
             samples.Xb @ Z0[:, :d].ravel(), Z0[samples.row_node, d:] if self.auc else None)
         self.phibar = node_means(samples, self.coef, self.tails)
+        self.dual = np.zeros(Z0.shape)  # S of `step`, S^{-1} = 0
         self._rngs = [np.random.default_rng([seed, n]) for n in range(len(self.sizes))]
         self._draws = np.empty((0, len(self.sizes)), dtype=np.int64)
         self._next = 0
+
+    def step(self, Z: np.ndarray, WZ: np.ndarray, alpha: float, lam: float,
+             variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One dsba or dsa round of every node from Z = Z^t and its mixing
+        product WZ = Wt Z^t: returns Z^{t+1}, the round's N x dim delta
+        block and the drawn rows r.
+
+        This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-)
+        (V the variance-reduced estimate, W Z at round 0) in primal-dual
+        form. The dual is S^t = S^{t-1} + (Z^t - Wt Z^t); then
+          dsba: psi = Wt Z - S + alpha (phi_i - phibar),
+                Z+ = J_{alpha (B_i + lam I)}(psi) row-wise;
+          dsa:  Z+ = Wt Z - S - alpha V, V = B_i(Z) - phi_i + phibar + lam Z.
+        Summing the recurrence over rounds gives exactly this form, and
+        W = 2 Wt - I makes round 0 start from W Z. The node mean of S is
+        zero in exact arithmetic, since 1'(I - Wt) = 0, so it is subtracted
+        after each update: rounding then cannot pile up along the consensus
+        direction, where the float64 mixing form drifts linearly with the
+        round count. The subtraction removes only that rounding, never
+        information a node lacks, so a sparse run, whose WZ the observers
+        rebuild from relayed deltas, takes the same step."""
+        r, A = self.draw()
+        S = self.dual
+        S += Z - WZ
+        S -= S.sum(axis=0) / len(S)
+        if variant == "dsba":
+            psi = WZ - S - alpha * self.phibar
+            self.add_phi(psi, r, A, alpha)
+            Z_next = self.resolve(psi, r, A, alpha, lam)
+            delta = self.update(Z_next, r, A)
+        else:
+            V = self.phibar + lam * Z
+            delta = self.update(Z, r, A)
+            Z_next = WZ - S - alpha * (V + delta)
+        return Z_next, delta, r
 
     def draw(self) -> tuple[np.ndarray, np.ndarray]:
         """Each node's sample for the next round: the global row indices r
@@ -307,7 +344,3 @@ def step_size_bound(L: float) -> float:
         raise AlgorithmError("L must be positive")
     return 1.0 / (24.0 * L)
 
-
-def contraction_rate(gamma: float, mu: float, L: float, q: int) -> float:
-    """Guaranteed per-round contraction factor of the Lyapunov function."""
-    return 1.0 - min(gamma / 12.0, mu / (48.0 * L), 1.0 / (3.0 * q), 0.25)

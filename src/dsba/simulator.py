@@ -448,42 +448,13 @@ def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
     return Z
 
 
-def _run_batched(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
-                 seed: int, z0: np.ndarray, variant: str, on_round) -> np.ndarray:
-    """Vectorized dense engine for dsba and dsa on every family: one float64
-    numpy round over all nodes.
-
-    It runs the generic engine's recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-)
-    (V the variance-reduced estimate, W Z at round 0) in primal-dual form.
-    Each round computes Wt Z once and the dual S^t = S^{t-1} + (Z - Wt Z),
-    S^{-1} = 0; then
-      dsba: psi = Wt Z - S + alpha (phi_i - phibar),
-            Z+ = J_{alpha (B_i + lam I)}(psi) row-wise;
-      dsa:  Z+ = Wt Z - S - alpha V, V = B_i(Z) - phi_i + phibar + lam Z.
-    Summing the recurrence over rounds gives exactly this form. The node
-    mean of S is zero in exact arithmetic, so it is subtracted after each
-    update: rounding then cannot pile up along the consensus direction,
-    where the float64 mixing form drifts linearly with the round count.
-    The table, sample streams and kernels are `BatchedTable`'s."""
-    N, lam = problem.n_nodes, problem.lam
-    Z = np.tile(z0, (N, 1))
-    table = BatchedTable(problem.samples, Z, seed)
-    S = np.zeros_like(Z)
+def _run_batched(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: int,
+                 alpha: float, lam: float, variant: str, on_round) -> np.ndarray:
+    """Dense engine for dsba and dsa on every family: all nodes take one
+    float64 array round (`BatchedTable.step`) on the mixing product Wt Z."""
+    Z = Z0
     for t in range(rounds):
-        r, A = table.draw()
-        WZ = mix.Wt @ Z
-        S += Z - WZ
-        S -= S.sum(axis=0) / N
-        if variant == "dsba":
-            psi = WZ - S - alpha * table.phibar
-            table.add_phi(psi, r, A, alpha)
-            Znew = table.resolve(psi, r, A, alpha, lam)
-            table.update(Znew, r, A)
-        else:
-            V = table.phibar + lam * Z
-            V += table.update(Z, r, A)
-            Znew = WZ - S - alpha * V
-        Z = Znew
+        Z, _, _ = table.step(Z, mix.Wt @ Z, alpha, lam, variant)
         if on_round(t, Z, table):
             break
     return Z
@@ -503,14 +474,12 @@ def _load_shards(config: RunConfig) -> ds.Shards:
 
 
 def _pick_engine(config: RunConfig) -> str:
-    """The engine label: "fast", the batched steps, for every sparse run and
-    for dense dsba and dsa under engine = auto; else "generic", the per-node
-    loop that Point-SAGA and dense Lyapunov tracking (it rebuilds the dual
-    from the iterates) use, and the label EXTRA's own full-activation loop
-    reports."""
+    """The engine label: "fast", the batched round, for every sparse run and
+    for dense dsba and dsa under engine = auto, Lyapunov tracking included;
+    else "generic", the per-node loop that Point-SAGA uses, and the label
+    EXTRA's own full-activation loop reports."""
     fast_ok = config.comm == "sparse" or (
-        config.engine == "auto" and config.variant in ("dsba", "dsa")
-        and not config.track_lyapunov)
+        config.engine == "auto" and config.variant in ("dsba", "dsa"))
     return "fast" if fast_ok else "generic"
 
 
@@ -599,25 +568,23 @@ def run(config: RunConfig) -> RunResult:
 
     engine = _pick_engine(config)
 
-    if config.rounds == 0:
-        Z_final = Z0
-    elif net is not None:
-        if tracker is not None:
-            tracker.update(0, Z0, BatchedTable(problem.samples, Z0, config.seed))
-        Z_final, _ = run_sparse(problem.samples, mix, Z0, config.rounds, alpha=alpha,
-                                lam=lam, seed=config.seed, variant=config.variant,
-                                on_round=on_round, net=net)
-    elif config.variant == "extra":
+    if config.variant == "extra":
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
-    elif engine == "fast":
-        Z_final = _run_batched(problem, mix, config.rounds, alpha, config.seed,
-                               z0, config.variant, on_round)
     else:
-        states = _make_states(problem, alpha, config.seed, z0)
+        # every engine's table starts anchored at Z0, and gives round 0's entry
+        table = (_make_states(problem, alpha, config.seed, z0) if engine == "generic"
+                 else BatchedTable(problem.samples, Z0, config.seed))
         if tracker is not None:
-            tracker.update(0, Z0, states)
-        Z_final = _run_dense_generic(states, mix, config.rounds, config.variant,
-                                     on_round)
+            tracker.update(0, Z0, table)
+        if engine == "generic":
+            Z_final = _run_dense_generic(table, mix, config.rounds, config.variant,
+                                         on_round)
+        elif net is None:
+            Z_final = _run_batched(table, mix, Z0, config.rounds, alpha, lam,
+                                   config.variant, on_round)
+        else:
+            Z_final, _ = run_sparse(table, mix, Z0, config.rounds, alpha=alpha, lam=lam,
+                                    variant=config.variant, on_round=on_round, net=net)
 
     gamma = mix.gamma
     manifest = {

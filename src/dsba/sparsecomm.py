@@ -10,12 +10,13 @@ state is kept once for the whole network (`ObserverMemory`):
 * a delayed copy of the global iterate matrix, Z^{t-D-1} and Z^{t-D-2},
 * the projections g_t[k] = Wt^k Z^{t-k+1} for k = 1..D+1, all rows at once,
 
-which is exactly enough to rebuild every node's resolvent argument each
-round. The recursion that rolls these forward is derived from the dense
-update rule, and every node's local step runs on the batched engine's
-kernels (`BatchedTable`), so sparse and dense trajectories agree to
-numerical precision; equivalence is pinned by tests rather than by any
-closed-form unfolding.
+which is exactly enough to rebuild every node's mixing product Wt Z^t each
+round. The recursion that rolls these forward is derived from the per-node
+update rule in primal form. Only the source of the mixing product differs
+from a dense run: every node takes the dense batched engine's primal-dual
+step (`BatchedTable.step`) on it, so sparse and dense trajectories agree
+bitwise through the warm-up and to numerical precision after; equivalence
+is pinned by tests rather than by any closed-form unfolding.
 
 Each delta is written once, by its origin, into the round's N x d block.
 Observer o reads origin m's corrections only below the delivered-round
@@ -35,7 +36,6 @@ from .algorithms import BatchedTable
 # the per-node step is the reference the batched round is tested against;
 # perfbench/spans.py traces it under this module's name as well
 from .algorithms import dsba_node_step  # noqa: F401
-from .operators import SampleMatrix
 from .topology import MixingMatrix
 
 
@@ -177,7 +177,7 @@ class ObserverMemory:
 
     def advance(self, t: int) -> np.ndarray:
         """Roll the projections one round forward; returns every node's
-        mixing input, row n = sum_m wt_{n,m} (2 z_m^t - z_m^{t-1})."""
+        mixing product g_t[1] = Wt Z^t, row n = sum_m wt_{n,m} z_m^t."""
         D, alpha, lam = self.depth, self.alpha, self.lam
         z_rec = self._reconstruct(t)
         g_prev = self.gens[t - 1]
@@ -197,7 +197,7 @@ class ObserverMemory:
         self.zB = self.zA
         self.zA = z_rec
         self.gens[t] = gt
-        return 2.0 * gt[1] - g_prev[1]
+        return gt[1]
 
     def finish_round(self, t: int, block: np.ndarray) -> None:
         """Close round t on its delta block, row m written by origin m."""
@@ -214,66 +214,44 @@ def bootstrap_rounds(mix: MixingMatrix) -> int:
     return int(mix.eccentricities.max()) + 3
 
 
-def run_sparse(samples: SampleMatrix, mix: MixingMatrix, Z0: np.ndarray, rounds: int,
-               *, alpha: float, lam: float, seed: int, variant: str = "dsba",
+def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: int,
+               *, alpha: float, lam: float, variant: str = "dsba",
                on_round=None, net: Network | None = None) -> tuple[np.ndarray, Network]:
     """Execute `rounds` synchronous rounds under the sparse protocol.
 
-    Every node starts at its row of `Z0` with its table anchored there and
-    draws from `default_rng([seed, n])`. All nodes step in one array round
-    on `BatchedTable`'s kernels, in the per-node update's primal form (see
-    `algorithms`): psi = W Z - alpha phibar + alpha phi_i at round 0 and
-    psi = mixed + alpha lam Z + alpha (q-1)/q Delta^- + alpha phi_i after,
-    resolved row-wise (dsba), or the explicit form (dsa). After the dense
-    warm-up, `mixed` is rebuilt by the observers from the relayed deltas.
-    A node's packet carries its delta's nonzeros: the sample row's, plus
-    two tail values for auc.
+    Every node starts at its row of `Z0`, where `table` (fresh, anchored at
+    `Z0`) has its entries. All nodes step in one array round,
+    `BatchedTable.step`, the dense batched engine's primal-dual round: on the
+    dense mixing product Wt Z during the warm-up, so the warm-up equals the
+    dense run bitwise, and on the observers' rebuild of it from the relayed
+    deltas after. A node's packet carries its delta's nonzeros: the sample
+    row's, plus two tail values for auc.
 
     `on_round(t, Z, table)` is called after every round with the stacked
-    iterate matrix and the `BatchedTable`; a true result stops the run.
-    `net` is a fresh network on `mix`'s graph, passed in by callers that
-    read its traffic inside `on_round`; by default one is built here.
-    Returns the final iterate matrix and the network (for communication
-    accounting).
+    iterate matrix and the table; a true result stops the run. `net` is a
+    fresh network on `mix`'s graph, passed in by callers that read its
+    traffic inside `on_round`; by default one is built here. Returns the
+    final iterate matrix and the network (for communication accounting).
     """
     if net is None:
         net = Network(mix.distances)
-    Z = Zp = np.array(Z0, dtype=np.float64)
+    Z = np.array(Z0, dtype=np.float64)
     dim = Z.shape[1]
-    table = BatchedTable(samples, Z, seed)
-    payload = np.diff(samples.X.indptr) + (2 if table.auc else 0)
+    payload = np.diff(table.samples.X.indptr) + (2 if table.auc else 0)
     memory = ObserverMemory(mix, table.sizes, dim, alpha, lam, variant)
-    carry_alpha = alpha * memory.carry
-    delta_prev = np.zeros_like(Z)
     t_boot = min(bootstrap_rounds(mix), rounds)
     z_hist = [Z]
     for t in range(rounds):
         if t < t_boot:
-            mixed = mix.W @ Z if t == 0 else mix.Wt @ (2.0 * Z - Zp)
+            WZ = mix.Wt @ Z
             net.account_dense_round(mix.adjacency.sum(axis=1), dim)
         else:
             if t > t_boot:
                 memory.absorb(net.deliver(t))
-            mixed = memory.advance(t)
-        r, A = table.draw()
-        if variant == "dsba":
-            if t == 0:
-                psi = mixed - alpha * table.phibar
-            else:
-                psi = mixed + (alpha * lam) * Z + carry_alpha * delta_prev
-            table.add_phi(psi, r, A, alpha)
-            Znew = table.resolve(psi, r, A, alpha, lam)
-            delta = table.update(Znew, r, A)
-        elif t == 0:
-            delta = table.update(Z, r, A)
-            Znew = mixed - alpha * (table.phibar + lam * Z)
-        else:
-            delta = table.update(Z, r, A)
-            Znew = mixed - (alpha * lam) * (Z - Zp) + carry_alpha * delta_prev - alpha * delta
+            WZ = memory.advance(t)
+        Z, delta, r = table.step(Z, WZ, alpha, lam, variant)
         net.broadcast(t, payload[r])
         memory.finish_round(t, delta)
-        delta_prev = delta
-        Zp, Z = Z, Znew
         if on_round is not None and on_round(t, Z, table):
             break
         if t < t_boot:

@@ -262,7 +262,7 @@ def _diamond_adjacency():
 @pytest.mark.parametrize("graph", ["complete3", "path4", "diamond4"])
 def test_sparse_protocol_matches_dense(variant, graph):
     t0 = time.time()
-    from dsba.algorithms import local_mean_operator
+    from dsba.algorithms import BatchedTable, local_mean_operator
     from dsba.sparsecomm import run_sparse
 
     if graph == "complete3":
@@ -311,8 +311,8 @@ def test_sparse_protocol_matches_dense(variant, graph):
         Z = np.stack([s.z for s in states])
         hist.append(Z.copy())
 
-    Z_sparse, net = run_sparse(problem.samples, mix, z0, rounds, alpha=alpha, lam=lam,
-                               seed=33, variant=variant)
+    Z_sparse, net = run_sparse(BatchedTable(problem.samples, z0, 33), mix, z0, rounds,
+                               alpha=alpha, lam=lam, variant=variant)
     err = np.max(np.abs(Z_sparse - hist[-1]))
     assert err <= 1e-9, err
     assert time.time() - t0 < 30.0

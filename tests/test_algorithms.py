@@ -5,7 +5,6 @@ from dsba.algorithms import (
     AlgorithmError,
     PhiTable,
     compute_psi,
-    contraction_rate,
     dsa_node_step,
     dsba_node_step,
     extra_round,
@@ -177,9 +176,3 @@ def test_step_size_bound():
     with pytest.raises(AlgorithmError):
         step_size_bound(0.0)
 
-
-def test_contraction_rate_in_unit_interval():
-    r = contraction_rate(gamma=0.3, mu=0.1, L=1.0, q=10)
-    assert 0.0 < r < 1.0
-    # tighter graphs/problems cannot slow the guaranteed rate
-    assert contraction_rate(0.6, 0.1, 1.0, 10) <= contraction_rate(0.3, 0.1, 1.0, 10) + 1e-15

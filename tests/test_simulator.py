@@ -193,13 +193,13 @@ def test_fast_engine_matches_generic(family, variant, n_samples):
     (dict(engine="generic"), "generic"),
     (dict(comm="sparse"), "fast"),
     (dict(variant="extra"), "generic"),
-    (dict(track_lyapunov=True), "generic"),
+    (dict(track_lyapunov=True), "fast"),
     (dict(variant="pointsaga", n_nodes=1), "generic"),
 ])
 def test_engine_choice(kw, engine):
     # auto picks the batched engine for dense dsba/dsa on every family and
-    # shard layout, and sparse runs always step on it; the per-node loop
-    # keeps everything else
+    # shard layout, tracked or not, and sparse runs always step on it; the
+    # per-node loop keeps everything else
     kw = dict(kw)
     family = kw.setdefault("family", "ridge")
     spec = _spec(kind="ridge" if family == "ridge" else "classification",
@@ -315,19 +315,39 @@ def test_sparse_matches_dense_generic(family, variant):
     assert np.array_equal(sparse.received_doubles, values + warmup)
 
 
+@pytest.mark.parametrize("comm", ["dense", "sparse"])
 @pytest.mark.parametrize("family", ["ridge", "auc"])
-def test_sparse_lyapunov_matches_dense_generic(family):
-    # the batched table hands over the same table term as the per-node tables
+def test_sparse_lyapunov_matches_dense_generic(family, comm):
+    # the batched table hands over the same table term as the per-node
+    # tables, in dense (engine = auto) and sparse runs alike
     kind = "ridge" if family == "ridge" else "classification"
     common = dict(family=family, synthetic=_spec(kind=kind, n_samples=60, margin=0.05),
                   n_nodes=3, topology="path", lam=0.1, rounds=50, seed=6,
                   track_lyapunov=True, lyapunov_every=10)
-    dense = run(RunConfig(engine="generic", **common))
-    sparse = run(RunConfig(comm="sparse", **common))
-    assert [t for t, _ in sparse.lyapunov] == [t for t, _ in dense.lyapunov] \
+    generic = run(RunConfig(engine="generic", **common))
+    batched = run(RunConfig(comm=comm, **common))
+    assert batched.manifest["engine"] == "fast"
+    assert [t for t, _ in batched.lyapunov] == [t for t, _ in generic.lyapunov] \
         == list(range(0, 51, 10))
-    np.testing.assert_allclose([h for _, h in sparse.lyapunov],
-                               [h for _, h in dense.lyapunov], rtol=1e-9, atol=0)
+    np.testing.assert_allclose([h for _, h in batched.lyapunov],
+                               [h for _, h in generic.lyapunov], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
+    # sparse and dense batched runs take the same round on the same Wt Z
+    # until the observers take over the mixing product
+    kind = "ridge" if family == "ridge" else "classification"
+    common = dict(family=family, variant=variant, n_nodes=6, topology="path",
+                  synthetic=_spec(kind=kind, d=10, n_samples=36, nnz=4, margin=0.05),
+                  lam=0.05, rounds=12, seed=3, record_trajectory=True)
+    dense = run(RunConfig(comm="dense", **common))
+    sparse = run(RunConfig(comm="sparse", **common))
+    boot = bootstrap_rounds(sparse.mix)
+    assert boot < common["rounds"]
+    for t in range(boot + 1):
+        assert np.array_equal(sparse.trajectory[t], dense.trajectory[t]), t
 
 
 def test_sparse_manifest_summarises_traffic():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dsba.algorithms import dsa_node_step, dsba_node_step, make_node
+from dsba.algorithms import BatchedTable, dsa_node_step, dsba_node_step, make_node
 from dsba.dataset import Sample
 from dsba.operators import SampleMatrix, make_operator
 from dsba.sparsecomm import (
@@ -74,8 +74,8 @@ def _data(mix, d=12, q=6, data_seed=31):
 
 def _run_sparse(mix, rounds, d=12, q=6, **kw):
     per_node, z0 = _data(mix, d=d, q=q)
-    samples = SampleMatrix.from_shards("ridge", per_node, d)
-    return run_sparse(samples, mix, z0, rounds, alpha=ALPHA, lam=LAM, seed=SEED, **kw)
+    table = BatchedTable(SampleMatrix.from_shards("ridge", per_node, d), z0, SEED)
+    return run_sparse(table, mix, z0, rounds, alpha=ALPHA, lam=LAM, **kw)
 
 
 def _dense_reference(mix, variant, rounds, d=12):
