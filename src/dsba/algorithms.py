@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
-                        resolve_margins, resolve_regularized)
+                        kernel_auc, resolve_margins, resolve_regularized)
 from .sparse import SparseVec
 
 # samples each node draws from its stream at once; `rng.integers(q, size=k)`
@@ -226,6 +226,8 @@ class BatchedTable:
         self.X = samples.X.toarray()
         self.na2 = np.einsum("ij,ij->i", self.X, self.X)
         self.sizes = np.bincount(samples.row_node)
+        self.inv_q = 1.0 / self.sizes[:, None]
+        self.nodes = np.arange(len(self.sizes))
         self.coef, self.tails = samples.row_terms(
             samples.Xb @ Z0[:, :d].ravel(), Z0[samples.row_node, d:] if self.auc else None)
         self.phibar = node_means(samples, self.coef, self.tails)
@@ -238,7 +240,7 @@ class BatchedTable:
              variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One dsba or dsa round of every node from Z = Z^t and its mixing
         product WZ = Wt Z^t: returns Z^{t+1}, the round's N x dim delta
-        block and the drawn rows r.
+        block and the drawn rows r, all fresh arrays.
 
         This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-)
         (V the variance-reduced estimate, W Z at round 0) in primal-dual
@@ -253,25 +255,69 @@ class BatchedTable:
         direction, where the float64 mixing form drifts linearly with the
         round count. The subtraction removes only that rounding, never
         information a node lacks, so a sparse run, whose WZ the observers
-        rebuild from relayed deltas, takes the same step."""
-        r, A = self.draw()
+        rebuild from relayed deltas, takes the same step.
+
+        The dsba resolvent is J_{rho alpha B_i}(rho psi), rho =
+        1/(1 + lam alpha). With u = rho (Wt Z - S - alpha phibar) and the
+        old entry c_old a, rho psi = u + rho alpha c_old a, so its margin is
+        a'u + rho alpha c_old ||a||^2, and for the kernel's output
+        coefficient e the features of Z+ are u + rho alpha (c_old - e) a =
+        u - rho alpha delta: one rank-1 correction per row. That e is
+        B_i(Z+)'s coefficient (auc: with the kernel's s, o_out and
+        theta_out), so it is the new entry and nothing is evaluated again
+        at Z+."""
+        r = self.draw()
+        s, d, n = self.samples, self.d, len(r)
+        c_old, A = self.coef.take(r), self.X.take(r, axis=0)
+        tails_old = self.tails.take(r, axis=0) if self.auc else None
         S = self.dual
         S += Z - WZ
         S -= S.sum(axis=0) / len(S)
         if variant == "dsba":
-            psi = WZ - S - alpha * self.phibar
-            self.add_phi(psi, r, A, alpha)
-            Z_next = self.resolve(psi, r, A, alpha, lam)
-            delta = self.update(Z_next, r, A)
+            rho = 1.0 / (1.0 + lam * alpha)
+            ra = rho * alpha
+            na2, y = self.na2.take(r), s.y.take(r)
+            Z_next = WZ - S
+            Z_next -= alpha * self.phibar
+            Z_next *= rho
+            m = np.einsum("nd,nd->n", Z_next[:, :d], A) + ra * c_old * na2
+            if self.auc:
+                # psi's tail, in place; the kernel overwrites the offset and theta
+                tail = Z_next[:, d:]
+                tail += ra * tails_old
+                c, slot = s.auc_c.take(r), s.auc_slot.take(r)
+                e, sm, o_out, theta_out = kernel_auc(m, na2, y, ra, c,
+                                                     tail[self.nodes, slot], tail[:, 2], s.p)
+                tail[self.nodes, slot] = o_out
+                tail[:, 2] = theta_out
+                new_tails = np.zeros((n, 3))
+                new_tails[self.nodes, slot] = -c * (sm - o_out)
+                new_tails[:, 2] = 2.0 * s.p * (1 - s.p) * theta_out + y * c * sm
+            else:
+                e, _ = resolve_margins(s.family, m, na2, y, ra)
+            COUNTERS["resolves"] += n
+            COUNTERS["component_evals"] += n
         else:
             V = self.phibar + lam * Z
-            delta = self.update(Z, r, A)
+            e, new_tails = s.row_terms(np.einsum("nd,nd->n", Z[:, :d], A),
+                                       Z[:, d:] if self.auc else None, rows=r)
+        if self.auc:
+            delta = np.empty(Z.shape)
+            np.multiply((e - c_old)[:, None], A, out=delta[:, :d])
+            delta[:, d:] = new_tails - tails_old
+            self.tails[r] = new_tails
+        else:
+            delta = (e - c_old)[:, None] * A
+        self.coef[r] = e
+        self.phibar += delta * self.inv_q
+        if variant == "dsba":
+            Z_next[:, :d] -= ra * delta[:, :d]
+        else:
             Z_next = WZ - S - alpha * (V + delta)
         return Z_next, delta, r
 
-    def draw(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's sample for the next round: the global row indices r
-        and the dense rows X[r]."""
+    def draw(self) -> np.ndarray:
+        """Each node's sample for the next round, as global row indices."""
         if self._next == len(self._draws):
             self._draws = self.samples.starts + np.stack(
                 [rng.integers(q, size=DRAW_BLOCK) for rng, q in zip(self._rngs, self.sizes)],
@@ -279,43 +325,7 @@ class BatchedTable:
             self._next = 0
         r = self._draws[self._next]
         self._next += 1
-        return r, self.X[r]
-
-    def add_phi(self, out: np.ndarray, r: np.ndarray, A: np.ndarray, scale: float) -> None:
-        """out += scale * phi_i, row n holding node n's drawn entry."""
-        out[:, :self.d] += (scale * self.coef[r])[:, None] * A
-        if self.auc:
-            out[:, self.d:] += scale * self.tails[r]
-
-    def resolve(self, psi: np.ndarray, r: np.ndarray, A: np.ndarray,
-                alpha: float, lam: float) -> np.ndarray:
-        """J_{alpha (B_i + lam I)}(psi) row-wise, overwriting psi:
-        J_{rho alpha B}(rho psi) with rho = 1/(1 + lam alpha)."""
-        d, s = self.d, self.samples
-        rho = 1.0 / (1.0 + lam * alpha)
-        psi *= rho
-        e, tail = resolve_margins(s.family, np.einsum("nd,nd->n", psi[:, :d], A),
-                                  self.na2[r], s.y[r], rho * alpha, psi[:, d:], s.p)
-        psi[:, :d] -= (rho * alpha * e)[:, None] * A
-        if self.auc:
-            psi[:, d:] = tail
-        COUNTERS["resolves"] += len(r)
-        return psi
-
-    def update(self, at: np.ndarray, r: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Replace the drawn entries by B_i(at), fold the change into the
-        node means and return it: the round's N x dim delta block."""
-        d = self.d
-        new_coef, new_tails = self.samples.row_terms(
-            np.einsum("nd,nd->n", at[:, :d], A), at[:, d:] if self.auc else None, rows=r)
-        delta = np.zeros_like(at)
-        delta[:, :d] = (new_coef - self.coef[r])[:, None] * A
-        if self.auc:
-            delta[:, d:] = new_tails - self.tails[r]
-            self.tails[r] = new_tails
-        self.phibar += delta / self.sizes[:, None]
-        self.coef[r] = new_coef
-        return delta
+        return r
 
     def distance_to(self, coef: np.ndarray, tails: np.ndarray | None) -> float:
         """sum_n (2/q_n) sum_i ||phi_i - target_i||^2 against targets given

@@ -149,6 +149,9 @@ class SampleMatrix:
     weight: np.ndarray
     starts: np.ndarray       # first row of each node
     p: float | None = None   # positive-class ratio, auc only
+    # auc only: each row's weight c and offset slot (see `auc_row_constants`)
+    auc_c: np.ndarray | None = None
+    auc_slot: np.ndarray | None = None
 
     @classmethod
     def from_shards(cls, family: str, per_node: list[list[Sample]], d: int,
@@ -164,9 +167,10 @@ class SampleMatrix:
         X = sp.csr_array((data, indices, indptr), shape=(Q, d))
         Xb = sp.csr_array((data, indices + d * np.repeat(row_node, nnz), indptr),
                           shape=(Q, N * d))
-        return cls(family, X, Xb, Xb.T.tocsr(), np.array([s.label for s in rows], dtype=np.float64),
-                   row_node, 1.0 / sizes[row_node],
-                   np.cumsum(sizes) - sizes, p)
+        y = np.array([s.label for s in rows], dtype=np.float64)
+        c, slot = auc_row_constants(y, p) if family == "auc" else (None, None)
+        return cls(family, X, Xb, Xb.T.tocsr(), y, row_node, 1.0 / sizes[row_node],
+                   np.cumsum(sizes) - sizes, p, c, slot)
 
     @property
     def d(self) -> int:
@@ -188,14 +192,15 @@ class SampleMatrix:
         if self.family == "logistic":
             return -y * expit(-(y * m)), None
         p = self.p
-        a, b, theta = tail[..., 0], tail[..., 1], tail[..., 2]
-        pos = y > 0
-        cp, cn = 2.0 * (1 - p), 2.0 * p
-        coef = np.where(pos, cp * ((m - a) - (1 + theta)), cn * ((m - b) + (1 + theta)))
+        c = self.auc_c if rows is None else self.auc_c[rows]
+        slot = self.auc_slot if rows is None else self.auc_slot[rows]
+        k = np.arange(len(m))
+        tail = np.broadcast_to(tail, (len(m), 3))
+        o, theta = tail[k, slot], tail[:, 2]
+        coef = c * ((m - o) - y * (1 + theta))
         tails = np.zeros((len(m), 3))
-        tails[:, 0] = np.where(pos, -cp * (m - a), 0.0)
-        tails[:, 1] = np.where(pos, 0.0, -cn * (m - b))
-        tails[:, 2] = 2.0 * p * (1 - p) * theta + np.where(pos, cp * m, -cn * m)
+        tails[k, slot] = -c * (m - o)
+        tails[:, 2] = 2.0 * p * (1 - p) * theta + y * c * m
         return coef, tails
 
 
@@ -242,33 +247,32 @@ def kernel_logistic(m, na2, y, alpha):
     return -y * expit(-y * t)
 
 
-def kernel_auc(m, na2, y, alpha, tail, p):
+def auc_row_constants(y, p: float):
+    """Per-row constants of the auc operator: the weight c = 2(1-p)
+    (y = +1) or 2p (y = -1), and the slot of the row's offset in the tail
+    block, 0 (a, y = +1) or 1 (b, y = -1)."""
+    pos = np.asarray(y) > 0
+    return np.where(pos, 2.0 * (1 - p), 2.0 * p), np.where(pos, 0, 1)
+
+
+def kernel_auc(m, na2, y, alpha, c, o, theta, p):
     """AUC resolvent in margin form, z = [w; a; b; theta].
 
-    With s = a'w_out, c = 2(1-p) (y = +1) or 2p (y = -1), g = c*alpha,
-    h = 2p(1-p)*alpha and o the sample's offset (a for y = +1, b for
-    y = -1), the fixed point gives o_out = (o + g s)/(1+g),
+    With s = a'w_out, c and o the sample's weight and offset (a for
+    y = +1, b for y = -1; see `auc_row_constants`), g = c*alpha and
+    h = 2p(1-p)*alpha, the fixed point gives o_out = (o + g s)/(1+g),
     theta_out = (theta - y g s)/(1+h), the other offset unchanged, and one
     scalar equation s K = m + g||a||^2 (o/(1+g) + y (1 + theta/(1+h)))
     with K = 1 + g||a||^2/(1+g) + g^2||a||^2/(1+h) >= 1. Returns the
-    output coefficient c((s - o_out) - y(1 + theta_out)) and the output
-    tail (rows x 3)."""
-    pos = np.asarray(y) > 0
-    c = np.where(pos, 2.0 * (1 - p), 2.0 * p)
+    output coefficient c((s - o_out) - y(1 + theta_out)), s, o_out and
+    theta_out."""
     g, h = c * alpha, 2.0 * p * (1 - p) * alpha
-    tail = np.asarray(tail, dtype=np.float64)
-    o = np.where(pos, tail[..., 0], tail[..., 1])
-    theta = tail[..., 2]
     gn = g * na2
     K = 1.0 + gn / (1.0 + g) + g * gn / (1.0 + h)
     s = (m + gn * (o / (1.0 + g) + y * (1.0 + theta / (1.0 + h)))) / K
     o_out = (o + g * s) / (1.0 + g)
     theta_out = (theta - y * g * s) / (1.0 + h)
-    out = tail.copy()
-    out[..., 0] = np.where(pos, o_out, tail[..., 0])
-    out[..., 1] = np.where(pos, tail[..., 1], o_out)
-    out[..., 2] = theta_out
-    return c * ((s - o_out) - y * (1.0 + theta_out)), out
+    return c * ((s - o_out) - y * (1.0 + theta_out)), s, o_out, theta_out
 
 
 def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
@@ -278,13 +282,24 @@ def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
     reads psi's tail). The output is psi - alpha*e*a on the features and,
     for auc, the returned tail on the last three coordinates.
 
-    Returns (e, tail or None). The batched engine calls this on a whole
-    round; `resolvent` is its one-row case."""
+    Returns (e, tail or None). `resolvent` is its one-row case; the batched
+    round calls it for ridge and logistic, and `kernel_auc` itself with the
+    sample matrix's per-row constants."""
     if family == "ridge":
         return kernel_ridge(m, na2, y, alpha), None
     if family == "logistic":
         return kernel_logistic(m, na2, y, alpha), None
-    return kernel_auc(m, na2, y, alpha, tail, p)
+    c, slot = auc_row_constants(y, p)
+    tail = np.asarray(tail, dtype=np.float64)
+    pos = slot == 0
+    e, _, o_out, theta_out = kernel_auc(m, na2, y, alpha, c,
+                                        np.where(pos, tail[..., 0], tail[..., 1]),
+                                        tail[..., 2], p)
+    out = tail.copy()
+    out[..., 0] = np.where(pos, o_out, tail[..., 0])
+    out[..., 1] = np.where(pos, tail[..., 1], o_out)
+    out[..., 2] = theta_out
+    return e, out
 
 
 def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:

@@ -511,13 +511,13 @@ def run(config: RunConfig) -> RunResult:
         trajectory = [Z0.copy()]
     net = Network(mix.distances) if config.comm == "sparse" else None
 
+    # doubles the busiest node receives per dense round: degree times dim
+    dense_round_max = 0.0 if config.n_nodes == 1 else adjacency.sum(axis=1).max() * problem.dim
+
     def c_max_at(t: int) -> int:
         if net is not None:
             return int(net.received_doubles().max())
-        degrees = adjacency.sum(axis=1)
-        if config.n_nodes == 1:
-            return 0
-        return int(degrees.max() * problem.dim * (t + 1))
+        return int(dense_round_max * (t + 1))
 
     def passes(t: int) -> float:
         if config.variant == "extra":

@@ -239,12 +239,13 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
     dim = Z.shape[1]
     payload = np.diff(table.samples.X.indptr) + (2 if table.auc else 0)
     memory = ObserverMemory(mix, table.sizes, dim, alpha, lam, variant)
+    degrees = mix.adjacency.sum(axis=1)
     t_boot = min(bootstrap_rounds(mix), rounds)
     z_hist = [Z]
     for t in range(rounds):
         if t < t_boot:
             WZ = mix.Wt @ Z
-            net.account_dense_round(mix.adjacency.sum(axis=1), dim)
+            net.account_dense_round(degrees, dim)
         else:
             if t > t_boot:
                 memory.absorb(net.deliver(t))

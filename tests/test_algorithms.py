@@ -3,6 +3,7 @@ import pytest
 
 from dsba.algorithms import (
     AlgorithmError,
+    BatchedTable,
     PhiTable,
     compute_psi,
     dsa_node_step,
@@ -10,10 +11,11 @@ from dsba.algorithms import (
     extra_round,
     local_mean_operator,
     make_node,
+    node_means,
     step_size_bound,
 )
 from dsba.dataset import Sample
-from dsba.operators import (SampleMatrix, eval_component, make_operator,
+from dsba.operators import (SampleMatrix, eval_component, kernel_auc, make_operator,
                             resolve_regularized)
 from dsba.simulator import _run_dense_generic
 from dsba.sparse import SparseVec
@@ -176,3 +178,78 @@ def test_step_size_bound():
     with pytest.raises(AlgorithmError):
         step_size_bound(0.0)
 
+
+
+def _batched_case(family, d=6, sizes=(5, 4, 6), seed=9):
+    """Unequal shards of random rows, labels alternating +1/-1 (ridge:
+    real targets), a random start Z0 and the path's mixing matrix."""
+    rng = np.random.default_rng(seed)
+    per_node = []
+    for q in sizes:
+        shard = []
+        for k in range(q):
+            idx = np.sort(rng.choice(d, size=3, replace=False)).astype(np.int64)
+            val = rng.standard_normal(3)
+            label = float(rng.standard_normal()) if family == "ridge" else (-1.0) ** k
+            shard.append(Sample(idx, val / np.linalg.norm(val), label))
+        per_node.append(shard)
+    samples = SampleMatrix.from_shards(family, per_node, d, p=0.3 if family == "auc" else None)
+    Z0 = rng.standard_normal((len(sizes), d + 3 if family == "auc" else d))
+    return samples, Z0, build_mixing(make_adjacency("path", len(sizes)))
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_batched_step_entries_are_components_at_next_iterate(family, variant):
+    # the batched round takes a dsba entry from the resolvent's output
+    # instead of evaluating B_i at Z+; it must be that evaluation, and the
+    # node means must follow the table
+    samples, Z, mix = _batched_case(family)
+    d, auc = samples.d, family == "auc"
+    table = BatchedTable(samples, Z, seed=4)
+    mixed_rounds = 0
+    for _ in range(40):
+        Z_prev = Z
+        Z, _, r = table.step(Z, mix.Wt @ Z, 0.3, 0.1, variant)
+        at = Z if variant == "dsba" else Z_prev
+        coef, tails = samples.row_terms(np.einsum("nd,nd->n", at[:, :d], table.X[r]),
+                                        at[:, d:] if auc else None, rows=r)
+        assert np.max(np.abs(table.coef[r] - coef)) <= 1e-12
+        if auc:
+            assert np.max(np.abs(table.tails[r] - tails)) <= 1e-12
+        assert np.max(np.abs(table.phibar - node_means(samples, table.coef, table.tails))) \
+            <= 1e-12
+        mixed_rounds += len(set(samples.y[r])) == 2
+    if family != "ridge":
+        assert mixed_rounds > 0
+
+
+def test_batched_auc_resolve_matches_kernel_per_row():
+    # the round's auc resolve reads each row's weight c and offset slot
+    # from the sample matrix; one kernel call per row, with both read off
+    # the row's label, must give the same coefficient and tail
+    samples, Z, mix = _batched_case("auc")
+    d, p, alpha, lam = samples.d, samples.p, 0.3, 0.1
+    table = BatchedTable(samples, Z, seed=4)
+    WZ = mix.Wt @ Z
+    for _ in range(20):
+        coef, tails, phibar = table.coef.copy(), table.tails.copy(), table.phibar.copy()
+        S = table.dual + Z - WZ
+        Z_next, _, r = table.step(Z, WZ, alpha, lam, "dsba")
+        if len(set(samples.y[r])) == 2:
+            break
+        Z, WZ = Z_next, mix.Wt @ Z_next
+    assert len(set(samples.y[r])) == 2
+    S -= S.sum(axis=0) / len(S)
+    rho = 1.0 / (1.0 + lam * alpha)
+    for n, i in enumerate(r):
+        a, y = table.X[i], samples.y[i]
+        phi = np.concatenate([coef[i] * a, tails[i]])
+        psi = rho * (WZ[n] - S[n] + alpha * (phi - phibar[n]))
+        c, k = (2.0 * (1 - p), 0) if y > 0 else (2.0 * p, 1)
+        e, _, o_out, theta_out = kernel_auc(psi[:d] @ a, a @ a, y, rho * alpha, c,
+                                            psi[d + k], psi[d + 2], p)
+        tail = psi[d:].copy()
+        tail[k], tail[2] = o_out, theta_out
+        assert abs(table.coef[i] - e) <= 1e-13, (n, y)
+        assert np.max(np.abs(Z_next[n, d:] - tail)) <= 1e-13, (n, y)
