@@ -208,6 +208,52 @@ def node_means(samples: SampleMatrix, coef: np.ndarray,
     return out
 
 
+def primal_dual_round(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray, phibar: np.ndarray,
+                      inv_q: np.ndarray, alpha: float, lam: float, variant: str,
+                      correction) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's dsba or dsa round in primal-dual form, from Z = Z^t, its
+    mixing product WZ = Wt Z^t, the dual S = S^{t-1} and the table mean
+    phibar = phibar^t; S and phibar are advanced in place. `correction(u, c)`
+    gives the round's N x dim table correction block delta, where c is
+    delta's weight in Z+ (for dsba the resolvent's step). Returns Z^{t+1}
+    and delta.
+
+    This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-) (V the
+    variance-reduced estimate, W Z at round 0), summed over rounds. The dual
+    is S^t = S^{t-1} + (Z^t - Wt Z^t), and W = 2 Wt - I makes round 0 start
+    from W Z. Then
+      dsba: u = rho (Wt Z - S - alpha phibar), rho = 1/(1 + lam alpha),
+            Z+ = u - rho alpha delta, the row-wise resolvent of
+            alpha (B_i + lam I) at Wt Z - S + alpha (phi_i - phibar);
+      dsa:  u = Wt Z - S - alpha (phibar + lam Z), Z+ = u - alpha delta;
+    and phibar += delta / q.
+
+    The node mean of S is zero in exact arithmetic, since 1'(I - Wt) = 0
+    for any Z, so it is subtracted after each update: rounding then cannot
+    pile up along the consensus direction, where the float64 mixing form
+    drifts linearly with the round count. The subtraction removes only that
+    rounding. That holds for any Z, also for a state the sparse relay's
+    observers replay (`sparsecomm.ObserverMemory`) with rows whose deltas
+    an observer has not heard: whatever those rows hold, the mean is zero
+    but for rounding, so subtracting it passes no information from them to
+    the rows the observer reads, and the replay takes this same round."""
+    S += Z - WZ
+    S -= S.sum(axis=0) / len(S)
+    u = WZ - S
+    if variant == "dsba":
+        rho = 1.0 / (1.0 + lam * alpha)
+        u -= alpha * phibar
+        u *= rho
+        c = rho * alpha
+    else:
+        u -= alpha * (phibar + lam * Z)
+        c = alpha
+    delta = correction(u, c)
+    phibar += delta * inv_q
+    u -= c * delta
+    return u, delta
+
+
 class BatchedTable:
     """Every node's table, sample stream, single-sample kernels and dual as
     arrays, for the engines that step all N nodes in one array round
@@ -231,7 +277,7 @@ class BatchedTable:
         self.coef, self.tails = samples.row_terms(
             samples.Xb @ Z0[:, :d].ravel(), Z0[samples.row_node, d:] if self.auc else None)
         self.phibar = node_means(samples, self.coef, self.tails)
-        self.dual = np.zeros(Z0.shape)  # S of `step`, S^{-1} = 0
+        self.dual = np.zeros(Z0.shape)  # S of `primal_dual_round`, S^{-1} = 0
         self._rngs = [np.random.default_rng([seed, n]) for n in range(len(self.sizes))]
         self._draws = np.empty((0, len(self.sizes)), dtype=np.int64)
         self._next = 0
@@ -240,80 +286,56 @@ class BatchedTable:
              variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One dsba or dsa round of every node from Z = Z^t and its mixing
         product WZ = Wt Z^t: returns Z^{t+1}, the round's N x dim delta
-        block and the drawn rows r, all fresh arrays.
-
-        This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-)
-        (V the variance-reduced estimate, W Z at round 0) in primal-dual
-        form. The dual is S^t = S^{t-1} + (Z^t - Wt Z^t); then
-          dsba: psi = Wt Z - S + alpha (phi_i - phibar),
-                Z+ = J_{alpha (B_i + lam I)}(psi) row-wise;
-          dsa:  Z+ = Wt Z - S - alpha V, V = B_i(Z) - phi_i + phibar + lam Z.
-        Summing the recurrence over rounds gives exactly this form, and
-        W = 2 Wt - I makes round 0 start from W Z. The node mean of S is
-        zero in exact arithmetic, since 1'(I - Wt) = 0, so it is subtracted
-        after each update: rounding then cannot pile up along the consensus
-        direction, where the float64 mixing form drifts linearly with the
-        round count. The subtraction removes only that rounding, never
-        information a node lacks, so a sparse run, whose WZ the observers
-        rebuild from relayed deltas, takes the same step.
+        block and the drawn rows r, all fresh arrays. The update itself is
+        `primal_dual_round` on the table's dual and mean; this method draws
+        the samples and computes the delta block from its u.
 
         The dsba resolvent is J_{rho alpha B_i}(rho psi), rho =
-        1/(1 + lam alpha). With u = rho (Wt Z - S - alpha phibar) and the
-        old entry c_old a, rho psi = u + rho alpha c_old a, so its margin is
-        a'u + rho alpha c_old ||a||^2, and for the kernel's output
-        coefficient e the features of Z+ are u + rho alpha (c_old - e) a =
-        u - rho alpha delta: one rank-1 correction per row. That e is
-        B_i(Z+)'s coefficient (auc: with the kernel's s, o_out and
+        1/(1 + lam alpha). With the old entry c_old a, rho psi = u + rho
+        alpha c_old a, so its margin is a'u + rho alpha c_old ||a||^2, and
+        for the kernel's output coefficient e the output is u + rho alpha
+        (c_old - e) a = u - rho alpha delta: one rank-1 correction per row.
+        That e is B_i(Z+)'s coefficient (auc: with the kernel's s, o_out and
         theta_out), so it is the new entry and nothing is evaluated again
-        at Z+."""
+        at Z+. For auc, psi's tail is u's plus rho alpha times the old tail
+        entry, and u - rho alpha delta on the tail equals the kernel's
+        o_out and theta_out in exact arithmetic."""
         r = self.draw()
         s, d, n = self.samples, self.d, len(r)
         c_old, A = self.coef.take(r), self.X.take(r, axis=0)
         tails_old = self.tails.take(r, axis=0) if self.auc else None
-        S = self.dual
-        S += Z - WZ
-        S -= S.sum(axis=0) / len(S)
-        if variant == "dsba":
-            rho = 1.0 / (1.0 + lam * alpha)
-            ra = rho * alpha
-            na2, y = self.na2.take(r), s.y.take(r)
-            Z_next = WZ - S
-            Z_next -= alpha * self.phibar
-            Z_next *= rho
-            m = np.einsum("nd,nd->n", Z_next[:, :d], A) + ra * c_old * na2
-            if self.auc:
-                # psi's tail, in place; the kernel overwrites the offset and theta
-                tail = Z_next[:, d:]
-                tail += ra * tails_old
-                c, slot = s.auc_c.take(r), s.auc_slot.take(r)
-                e, sm, o_out, theta_out = kernel_auc(m, na2, y, ra, c,
-                                                     tail[self.nodes, slot], tail[:, 2], s.p)
-                tail[self.nodes, slot] = o_out
-                tail[:, 2] = theta_out
-                new_tails = np.zeros((n, 3))
-                new_tails[self.nodes, slot] = -c * (sm - o_out)
-                new_tails[:, 2] = 2.0 * s.p * (1 - s.p) * theta_out + y * c * sm
+
+        def correction(u: np.ndarray, ra: float) -> np.ndarray:
+            if variant == "dsba":
+                na2, y = self.na2.take(r), s.y.take(r)
+                m = np.einsum("nd,nd->n", u[:, :d], A) + ra * c_old * na2
+                if self.auc:
+                    tail = u[:, d:] + ra * tails_old  # psi's tail
+                    c, slot = s.auc_c.take(r), s.auc_slot.take(r)
+                    e, sm, o_out, theta_out = kernel_auc(m, na2, y, ra, c,
+                                                         tail[self.nodes, slot], tail[:, 2], s.p)
+                    new_tails = np.zeros((n, 3))
+                    new_tails[self.nodes, slot] = -c * (sm - o_out)
+                    new_tails[:, 2] = 2.0 * s.p * (1 - s.p) * theta_out + y * c * sm
+                else:
+                    e, _ = resolve_margins(s.family, m, na2, y, ra)
+                COUNTERS["resolves"] += n
+                COUNTERS["component_evals"] += n
             else:
-                e, _ = resolve_margins(s.family, m, na2, y, ra)
-            COUNTERS["resolves"] += n
-            COUNTERS["component_evals"] += n
-        else:
-            V = self.phibar + lam * Z
-            e, new_tails = s.row_terms(np.einsum("nd,nd->n", Z[:, :d], A),
-                                       Z[:, d:] if self.auc else None, rows=r)
-        if self.auc:
-            delta = np.empty(Z.shape)
-            np.multiply((e - c_old)[:, None], A, out=delta[:, :d])
-            delta[:, d:] = new_tails - tails_old
-            self.tails[r] = new_tails
-        else:
-            delta = (e - c_old)[:, None] * A
-        self.coef[r] = e
-        self.phibar += delta * self.inv_q
-        if variant == "dsba":
-            Z_next[:, :d] -= ra * delta[:, :d]
-        else:
-            Z_next = WZ - S - alpha * (V + delta)
+                e, new_tails = s.row_terms(np.einsum("nd,nd->n", Z[:, :d], A),
+                                           Z[:, d:] if self.auc else None, rows=r)
+            if self.auc:
+                delta = np.empty(Z.shape)
+                np.multiply((e - c_old)[:, None], A, out=delta[:, :d])
+                delta[:, d:] = new_tails - tails_old
+                self.tails[r] = new_tails
+            else:
+                delta = (e - c_old)[:, None] * A
+            self.coef[r] = e
+            return delta
+
+        Z_next, delta = primal_dual_round(Z, WZ, self.dual, self.phibar, self.inv_q,
+                                          alpha, lam, variant, correction)
         return Z_next, delta, r
 
     def draw(self) -> np.ndarray:

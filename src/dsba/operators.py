@@ -350,21 +350,3 @@ def lipschitz_bound(op: OperatorSpec) -> float:
                   [-c * r, c, 0.0],
                   [y * c * r, 0.0, 2.0 * p * (1 - p)]])
     return float(np.linalg.norm(M, 2) + op.lam)
-
-
-def strong_monotonicity_estimate(op: OperatorSpec, trials: int, seed: int,
-                                 scale: float = 1.0) -> float:
-    """Empirical lower bound on the strong-monotonicity modulus of the
-    regularized operator: min over random pairs of
-    <B(x)-B(y), x-y> / ||x-y||^2."""
-    if trials < 1:
-        raise OperatorError("trials must be >= 1")
-    rng = np.random.default_rng(seed)
-    best = np.inf
-    for _ in range(trials):
-        x = scale * rng.normal(size=op.dim)
-        y = scale * rng.normal(size=op.dim)
-        gap = x - y
-        diff = eval_operator(op, x) - eval_operator(op, y)
-        best = min(best, float(diff @ gap) / float(gap @ gap))
-    return best

@@ -5,25 +5,23 @@ exchange only the per-round sparse table corrections (delta packets), relayed
 hop-by-hop along shortest paths. Every node acts as an *observer* of the
 whole network that rebuilds its own mixing input from the delta stream. All
 observers run at one depth D, the graph's largest eccentricity, so their
-state is kept once for the whole network (`ObserverMemory`):
+state is kept once for the whole network (`ObserverMemory`): the network's
+primal-dual state at lag D, which every observer has heard in full, and the
+delta blocks of the D rounds since.
 
-* a delayed copy of the global iterate matrix, Z^{t-D-1} and Z^{t-D-2},
-* the projections g_t[k] = Wt^k Z^{t-k+1} for k = 1..D+1, all rows at once,
+Each round the observers replay those D rounds through `primal_dual_round`,
+the update every node takes in `BatchedTable.step`, and so rebuild every
+node's mixing product Wt Z^t. There is one recurrence: a node's round and an
+observer's replay of it are the same operations on the same arrays, so a
+sparse run equals the dense batched run bitwise, at every round.
 
-which is exactly enough to rebuild every node's mixing product Wt Z^t each
-round. The recursion that rolls these forward is derived from the per-node
-update rule in primal form. Only the source of the mixing product differs
-from a dense run: every node takes the dense batched engine's primal-dual
-step (`BatchedTable.step`) on it, so sparse and dense trajectories agree
-bitwise through the warm-up and to numerical precision after; equivalence
-is pinned by tests rather than by any closed-form unfolding.
-
-Each delta is written once, by its origin, into the round's N x d block.
+Each delta is written once, by its origin, into the round's N x dim block.
 Observer o reads origin m's corrections only below the delivered-round
 watermark heard[o, m], the last round it heard from m with no gap; reading
-past it, or hearing a gap or a repeat, raises `ProtocolError`. An observer
-with eccentricity E <= D reads rounds at lag D or more only from origins it
-has already heard, so the shared depth needs no extra traffic.
+past it, or hearing a gap or a repeat, raises `ProtocolError`. Row o of
+Wt Z^t depends on origin m's round t - k only if dist(o, m) <= k, and that
+round has reached o by round t, so the replay reads nothing o has not heard
+and the shared depth needs no extra traffic.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .algorithms import BatchedTable
+from .algorithms import BatchedTable, primal_dual_round
 # the per-node step is the reference the batched round is tested against;
 # perfbench/spans.py traces it under this module's name as well
 from .algorithms import dsba_node_step  # noqa: F401
@@ -105,30 +103,39 @@ class Network:
 
 
 class ObserverMemory:
-    """Delayed global state of every observer, at the common depth D.
+    """Every observer's view of the network, kept once at the common depth D.
 
-    Closing round s forms G_s = diag((q-1)/q) D_{s-1} - D_s from the
-    round's delta blocks; row m is node m's table correction in round s.
-    Observers read back at most D + 1 rounds, so only that many are kept."""
+    The snapshot is the network's primal-dual state, Z, the dual S and the
+    table mean phibar, at round t - D before round t (S one round behind),
+    and the delta blocks of the rounds since; row m of round s's block is
+    node m's table correction. Each round replays those D rounds through
+    `primal_dual_round`, the update every node takes, to rebuild every
+    node's mixing product Wt Z^t.
 
-    def __init__(self, mix: MixingMatrix, qs: np.ndarray, dim: int,
-                 alpha: float, lam: float, variant: str):
+    The snapshot starts from the run's initial state: Z^0, S = 0 and the
+    table mean anchored at Z^0, phibar^0. That holds nothing the dense
+    warm-up does not give observers: Z^0 is where every node starts, and
+    phibar^0 follows from Z^0, the warm-up iterate Z^1 and the relayed round-0
+    deltas through round 0's update. The first relay round folds the
+    warm-up rounds into it."""
+
+    def __init__(self, mix: MixingMatrix, qs: np.ndarray, Z0: np.ndarray,
+                 phibar: np.ndarray, alpha: float, lam: float, variant: str):
         if variant not in ("dsba", "dsa"):
             raise ProtocolError(f"sparse protocol supports dsba/dsa, not {variant!r}")
-        self.variant = variant
-        self.alpha = alpha
-        self.lam = lam
-        self.depth = D = int(mix.eccentricities.max())
-        # Wt^k for k = 0..D+1, and the origins each observer's row reads
-        self.powers = np.stack([np.linalg.matrix_power(mix.Wt, k) for k in range(D + 2)])
-        self.support = self.powers != 0.0
-        self.carry = ((qs - 1.0) / qs)[:, None]
-        self.D_prev = np.zeros((mix.n, dim))
-        self.G: dict[int, np.ndarray] = {}
-        self.zA: np.ndarray | None = None  # Z^{t-D-1}
-        self.zB: np.ndarray | None = None  # Z^{t-D-2}
-        # round s -> (D+2, N, dim) stack of g_s[k]; slot 0 is never read
-        self.gens: dict[int, np.ndarray] = {}
+        self.Wt = mix.Wt
+        self.inv_q = 1.0 / np.asarray(qs)[:, None]
+        self.alpha, self.lam, self.variant = alpha, lam, variant
+        # at least 1: the newest deltas at round t are round t - 1's, also on one node
+        self.depth = D = max(int(mix.eccentricities.max()), 1)
+        # support[j]: the origins each observer's row reads at lag D - j,
+        # dist(o, m) <= D - j; round t - D + j needs exactly those
+        self.support = np.stack([mix.distances <= k for k in range(D, 0, -1)])
+        self.round = 0  # the snapshot's round
+        self.Z = np.array(Z0, dtype=np.float64)
+        self.dual = np.zeros(self.Z.shape)
+        self.phibar = np.array(phibar, dtype=np.float64)
+        self.blocks: dict[int, np.ndarray] = {}  # round s >= self.round -> delta block
         # delivered-round watermark: heard[o, m] is the last round observer o
         # heard from origin m with no gap before it
         self.heard = np.full((mix.n, mix.n), -1, dtype=np.int64)
@@ -144,73 +151,44 @@ class ObserverMemory:
                                 f"round={arrivals[o, m]}) after round {self.heard[o, m]}")
         self.heard[got] = arrivals[got]
 
-    def _block(self, s: int, support=True) -> np.ndarray:
-        """G_s, once every observer has heard every origin of `support`
-        (observer x origin mask) up to round s."""
-        late = support & (self.heard < s)
-        if late.any():
-            o, m = np.argwhere(late)[0]
-            raise ProtocolError(f"observer {o} missing delta "
-                                f"(origin={m}, round={self.heard[o, m] + 1})")
-        return self.G[s]
-
-    def seed(self, z_hist: list[np.ndarray], t0: int) -> None:
-        """Fill memory from the dense warm-up history, ready for round t0."""
-        D = self.depth
-        self.zA = z_hist[t0 - D - 1]
-        self.zB = z_hist[t0 - D - 2]
-        for s in (t0 - 1, t0 - 2):
-            g = np.empty((D + 2,) + self.zA.shape)
-            for k in range(1, D + 2):
-                g[k] = self.powers[k] @ z_hist[s - k + 1]
-            self.gens[s] = g
-
-    def _reconstruct(self, t: int) -> np.ndarray:
-        """Z^{t-D} from the explicit form of the round-(t-D-1) update."""
-        alpha, lam = self.alpha, self.lam
-        G = self._block(t - self.depth - 1)
-        if self.variant == "dsba":
-            return (self.powers[1] @ (2.0 * self.zA - self.zB)
-                    + (alpha * lam) * self.zA + alpha * G) / (1.0 + alpha * lam)
-        return (self.powers[1] @ (2.0 * self.zA - self.zB)
-                - (alpha * lam) * (self.zA - self.zB) + alpha * G)
+    def _replay(self, Z: np.ndarray, S: np.ndarray, phibar: np.ndarray,
+                block: np.ndarray) -> np.ndarray:
+        Z_next, _ = primal_dual_round(Z, self.Wt @ Z, S, phibar, self.inv_q, self.alpha,
+                                      self.lam, self.variant, lambda u, c: block)
+        return Z_next
 
     def advance(self, t: int) -> np.ndarray:
-        """Roll the projections one round forward; returns every node's
-        mixing product g_t[1] = Wt Z^t, row n = sum_m wt_{n,m} z_m^t."""
-        D, alpha, lam = self.depth, self.alpha, self.lam
-        z_rec = self._reconstruct(t)
-        g_prev = self.gens[t - 1]
-        gt = np.empty_like(g_prev)
-        gt[D + 1] = self.powers[D + 1] @ z_rec
-        c1 = 1.0 / (1.0 + alpha * lam)
-        for k in range(D, 0, -1):
-            # Wt^k times the round-(t-k) table corrections
-            corr = self.powers[k] @ self._block(t - k, self.support[k])
-            if self.variant == "dsba":
-                acc = 2.0 * gt[k + 1] - g_prev[k + 1] + (alpha * lam) * g_prev[k]
-                gt[k] = c1 * (acc + alpha * corr)
-            else:
-                acc = (2.0 * gt[k + 1] - g_prev[k + 1]
-                       - (alpha * lam) * (g_prev[k] - self.gens[t - 2][k]))
-                gt[k] = acc + alpha * corr
-        self.zB = self.zA
-        self.zA = z_rec
-        self.gens[t] = gt
-        return gt[1]
+        """Every node's mixing product Wt Z^t, row n = sum_m wt_{n,m} z_m^t,
+        replayed from the snapshot on the delta blocks of rounds t - D to
+        t - 1. Row o reads round s only from origins within t - s hops of o,
+        and one masked comparison checks that observer o has heard those.
+        The snapshot then moves on to round t - D + 1, whose state every
+        observer has heard in full."""
+        D = self.depth
+        late = self.support & (self.heard < np.arange(t - D, t)[:, None, None])
+        if late.any():
+            _, o, m = np.argwhere(late)[0]
+            raise ProtocolError(f"observer {o} missing delta "
+                                f"(origin={m}, round={self.heard[o, m] + 1})")
+        while self.round <= t - D:
+            self.Z = self._replay(self.Z, self.dual, self.phibar, self.blocks.pop(self.round))
+            self.round += 1
+        Z, S, phibar = self.Z, self.dual.copy(), self.phibar.copy()
+        for s in range(self.round, t):
+            Z = self._replay(Z, S, phibar, self.blocks[s])
+        return self.Wt @ Z
 
     def finish_round(self, t: int, block: np.ndarray) -> None:
         """Close round t on its delta block, row m written by origin m."""
         np.fill_diagonal(self.heard, t)
-        self.G[t] = self.carry * self.D_prev - block
-        self.G.pop(t - self.depth - 1, None)
-        self.D_prev = block
-        self.gens.pop(t - 2 if self.variant == "dsba" else t - 3, None)
+        self.blocks[t] = block
 
 
 def bootstrap_rounds(mix: MixingMatrix) -> int:
-    """Dense warm-up length: enough rounds that the observers' seed only
-    references post-initialization history and already-relayed packets."""
+    """Dense warm-up length, the graph's largest eccentricity plus three
+    rounds. The observers' snapshot starts at the run's initial state, so
+    the relay needs no warm-up history; the length sets only how many
+    rounds are sent dense, and with it a run's traffic."""
     return int(mix.eccentricities.max()) + 3
 
 
@@ -222,10 +200,11 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
     Every node starts at its row of `Z0`, where `table` (fresh, anchored at
     `Z0`) has its entries. All nodes step in one array round,
     `BatchedTable.step`, the dense batched engine's primal-dual round: on the
-    dense mixing product Wt Z during the warm-up, so the warm-up equals the
-    dense run bitwise, and on the observers' rebuild of it from the relayed
-    deltas after. A node's packet carries its delta's nonzeros: the sample
-    row's, plus two tail values for auc.
+    dense mixing product Wt Z during the warm-up, and on the observers'
+    rebuild of it from the relayed deltas after, which replays the same
+    rounds and so gives the dense run's product bitwise. A node's packet
+    carries its delta's nonzeros: the sample row's, plus two tail values for
+    auc.
 
     `on_round(t, Z, table)` is called after every round with the stacked
     iterate matrix and the table; a true result stops the run. `net` is a
@@ -238,10 +217,9 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
     Z = np.array(Z0, dtype=np.float64)
     dim = Z.shape[1]
     payload = np.diff(table.samples.X.indptr) + (2 if table.auc else 0)
-    memory = ObserverMemory(mix, table.sizes, dim, alpha, lam, variant)
+    memory = ObserverMemory(mix, table.sizes, Z, table.phibar, alpha, lam, variant)
     degrees = mix.adjacency.sum(axis=1)
-    t_boot = min(bootstrap_rounds(mix), rounds)
-    z_hist = [Z]
+    t_boot = bootstrap_rounds(mix)
     for t in range(rounds):
         if t < t_boot:
             WZ = mix.Wt @ Z
@@ -255,12 +233,8 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
         memory.finish_round(t, delta)
         if on_round is not None and on_round(t, Z, table):
             break
-        if t < t_boot:
-            z_hist.append(Z)
         if t + 1 == t_boot:
             # packets relayed during warm-up are delivered on their normal timetable
             for s in range(1, t_boot + 1):
                 memory.absorb(net.deliver(s))
-            if t_boot == bootstrap_rounds(mix):
-                memory.seed(z_hist, t_boot)
     return Z, net

@@ -13,7 +13,6 @@ from dsba.operators import (
     resolve_margins,
     resolvent,
     resolve_regularized,
-    strong_monotonicity_estimate,
     wrap_l2_resolvent,
 )
 
@@ -213,14 +212,6 @@ def test_auc_lipschitz_is_jacobian_norm(label):
                              for e in np.eye(op.dim)])
         exact = np.linalg.norm(J, 2) + lam
         assert lipschitz_bound(op) == pytest.approx(exact, rel=1e-12)
-
-
-def test_strong_monotonicity_at_least_ridge_weight():
-    rng = np.random.default_rng(8)
-    d = 5
-    op = make_operator("ridge", _sample(rng, d), 0.5, d)
-    mu = strong_monotonicity_estimate(op, trials=200, seed=3)
-    assert mu >= 0.5 - 1e-9
 
 
 def test_counters_track_usage():

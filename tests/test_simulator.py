@@ -336,18 +336,33 @@ def test_sparse_lyapunov_matches_dense_generic(family, comm):
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
 def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
-    # sparse and dense batched runs take the same round on the same Wt Z
-    # until the observers take over the mixing product
+    # sparse and dense batched runs take the same round on the same Wt Z:
+    # the dense product in the warm-up, the observers' replay of the same
+    # round after it
     kind = "ridge" if family == "ridge" else "classification"
     common = dict(family=family, variant=variant, n_nodes=6, topology="path",
                   synthetic=_spec(kind=kind, d=10, n_samples=36, nnz=4, margin=0.05),
-                  lam=0.05, rounds=12, seed=3, record_trajectory=True)
+                  lam=0.05, rounds=80, seed=3, record_trajectory=True)
     dense = run(RunConfig(comm="dense", **common))
     sparse = run(RunConfig(comm="sparse", **common))
-    boot = bootstrap_rounds(sparse.mix)
-    assert boot < common["rounds"]
-    for t in range(boot + 1):
+    assert bootstrap_rounds(sparse.mix) + 60 < common["rounds"]
+    assert len(sparse.trajectory) == len(dense.trajectory) == common["rounds"] + 1
+    for t in range(common["rounds"] + 1):
         assert np.array_equal(sparse.trajectory[t], dense.trajectory[t]), t
+
+
+def test_long_sparse_run_stays_on_dense_run():
+    # 100,000 rounds: the observers replay the dense round, so their rebuild
+    # of Wt Z does not drift from the dense batched run as rounds pile up
+    common = dict(family="ridge", variant="dsba", n_nodes=4, topology="path",
+                  synthetic=_spec(d=12, n_samples=24, nnz=4), lam=0.05,
+                  rounds=100_000, seed=1, metric_every=10_000, compute_score=False)
+    dense = run(RunConfig(comm="dense", **common))
+    sparse = run(RunConfig(comm="sparse", **common))
+    assert np.max(np.abs(sparse.z_final - dense.z_final)) <= 1e-11
+    floor = dense.metrics.rows[-1].subopt
+    assert floor < 1e-13
+    assert sparse.metrics.rows[-1].subopt <= 2.0 * floor
 
 
 def test_sparse_manifest_summarises_traffic():

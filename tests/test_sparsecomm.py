@@ -110,7 +110,7 @@ def test_sparse_equals_dense_small(variant, kind, n):
 @pytest.mark.parametrize("kind,n", [("path", 5), ("ring", 6), ("star", 5)])
 def test_sparse_equals_dense_across_warmup_boundary(variant, kind, n):
     # runs that stop inside the dense warm-up, on its last round, and in the
-    # first rounds rebuilt from the seeded observer state
+    # first rounds the observers replay
     mix = build_mixing(make_adjacency(kind, n))
     b = bootstrap_rounds(mix)
     for rounds in (1, b - 1, b, b + 1, b + 2):
@@ -179,7 +179,8 @@ def test_observer_needs_every_delta_it_reads(origin, dest):
 
 def test_observer_rejects_gap_and_repeat():
     mix = build_mixing(make_adjacency("ring", 4))
-    obs = ObserverMemory(mix, np.full(4, 3), dim=10, alpha=0.1, lam=0.1, variant="dsba")
+    obs = ObserverMemory(mix, np.full(4, 3), np.zeros((4, 10)), np.zeros((4, 10)),
+                         alpha=0.1, lam=0.1, variant="dsba")
 
     def arrivals(*packets):
         arr = np.full((4, 4), -1)
