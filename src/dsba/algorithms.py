@@ -235,8 +235,11 @@ def primal_dual_round(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray, phibar: np.n
     rounding. That holds for any Z, also for a state the sparse relay's
     observers replay (`sparsecomm.ObserverMemory`) with rows whose deltas
     an observer has not heard: whatever those rows hold, the mean is zero
-    but for rounding, so subtracting it passes no information from them to
-    the rows the observer reads, and the replay takes this same round."""
+    but for rounding, so in exact arithmetic subtracting it passes nothing
+    from them to the rows the observer reads, and the replay takes this
+    same round. In float64 it passes their rounding, at the level of the
+    last bit; that is the live round's own rounding, so the replay still
+    equals the live round bitwise."""
     S += Z - WZ
     S -= S.sum(axis=0) / len(S)
     u = WZ - S

@@ -18,10 +18,13 @@ sparse run equals the dense batched run bitwise, at every round.
 Each delta is written once, by its origin, into the round's N x dim block.
 Observer o reads origin m's corrections only below the delivered-round
 watermark heard[o, m], the last round it heard from m with no gap; reading
-past it, or hearing a gap or a repeat, raises `ProtocolError`. Row o of
-Wt Z^t depends on origin m's round t - k only if dist(o, m) <= k, and that
-round has reached o by round t, so the replay reads nothing o has not heard
-and the shared depth needs no extra traffic.
+past it, or hearing a gap or a repeat, raises `ProtocolError`. In exact
+arithmetic row o of Wt Z^t depends on origin m's round t - k only if
+dist(o, m) <= k, and that round has reached o by round t, so the shared
+depth needs no extra traffic. The guarantee is an exact-arithmetic one: the
+replay runs on whole blocks, and the dual's node-mean subtraction sums every
+row, so in float64 row o carries rounding, at the level of the last bit,
+from origins o has not heard yet.
 """
 
 from __future__ import annotations
@@ -160,8 +163,9 @@ class ObserverMemory:
     def advance(self, t: int) -> np.ndarray:
         """Every node's mixing product Wt Z^t, row n = sum_m wt_{n,m} z_m^t,
         replayed from the snapshot on the delta blocks of rounds t - D to
-        t - 1. Row o reads round s only from origins within t - s hops of o,
-        and one masked comparison checks that observer o has heard those.
+        t - 1. In exact arithmetic row o reads round s only from origins
+        within t - s hops of o, and one masked comparison checks that
+        observer o has heard those.
         The snapshot then moves on to round t - D + 1, whose state every
         observer has heard in full."""
         D = self.depth
@@ -219,7 +223,7 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
     payload = np.diff(table.samples.X.indptr) + (2 if table.auc else 0)
     memory = ObserverMemory(mix, table.sizes, Z, table.phibar, alpha, lam, variant)
     degrees = mix.adjacency.sum(axis=1)
-    t_boot = bootstrap_rounds(mix)
+    t_boot = min(bootstrap_rounds(mix), rounds)
     for t in range(rounds):
         if t < t_boot:
             WZ = mix.Wt @ Z

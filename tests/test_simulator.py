@@ -333,22 +333,37 @@ def test_sparse_lyapunov_matches_dense_generic(family, comm):
                                [h for _, h in generic.lyapunov], rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("variant", ["dsba", "dsa"])
-@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
-def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
-    # sparse and dense batched runs take the same round on the same Wt Z:
-    # the dense product in the warm-up, the observers' replay of the same
-    # round after it
+def _sparse_and_dense_trajectories(family, variant, rounds):
     kind = "ridge" if family == "ridge" else "classification"
     common = dict(family=family, variant=variant, n_nodes=6, topology="path",
                   synthetic=_spec(kind=kind, d=10, n_samples=36, nnz=4, margin=0.05),
-                  lam=0.05, rounds=80, seed=3, record_trajectory=True)
+                  lam=0.05, rounds=rounds, seed=3, record_trajectory=True)
     dense = run(RunConfig(comm="dense", **common))
     sparse = run(RunConfig(comm="sparse", **common))
-    assert bootstrap_rounds(sparse.mix) + 60 < common["rounds"]
-    assert len(sparse.trajectory) == len(dense.trajectory) == common["rounds"] + 1
-    for t in range(common["rounds"] + 1):
-        assert np.array_equal(sparse.trajectory[t], dense.trajectory[t]), t
+    assert len(sparse.trajectory) == len(dense.trajectory) == rounds + 1
+    return bootstrap_rounds(sparse.mix), sparse.trajectory, dense.trajectory
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
+    # sparse and dense batched runs take the same round on the same Wt Z
+    # while both use the dense mixing product
+    boot, sparse, dense = _sparse_and_dense_trajectories(family, variant, 12)
+    assert boot < 12
+    for t in range(boot + 1):
+        assert np.array_equal(sparse[t], dense[t]), t
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_sparse_relay_rounds_are_dense_batched_bitwise(family, variant):
+    # after the warm-up the observers replay the same round, so every relay
+    # round's iterate equals the dense batched run's
+    boot, sparse, dense = _sparse_and_dense_trajectories(family, variant, 80)
+    assert boot + 60 < 80
+    for t in range(boot + 1, 81):
+        assert np.array_equal(sparse[t], dense[t]), t
 
 
 def test_long_sparse_run_stays_on_dense_run():

@@ -213,16 +213,16 @@ class _Recording(Network):
         return self.arrivals[t]
 
 
-def test_network_accounting_matches_per_packet_oracle():
+def _check_traffic_against_oracle(rounds):
     # packet by packet: (o, s) reaches every u != o at round s + dist(o, u)
     mix = build_mixing(make_adjacency("erdos_renyi", 7, p=0.4, seed=2))
     net = _Recording(mix.distances)
-    _run_sparse(mix, 30, d=12, q=5, variant="dsa", net=net)
+    _run_sparse(mix, rounds, d=12, q=5, variant="dsa", net=net)
     last = max(net.arrivals)
     values = {t: np.zeros(mix.n, dtype=np.int64) for t in net.arrivals}
     metadata = np.zeros(mix.n, dtype=np.int64)
     arrivals = {t: [set() for _ in range(mix.n)] for t in net.arrivals}
-    assert [s for s, _ in net.sent] == list(range(30))
+    assert [s for s, _ in net.sent] == list(range(rounds))
     for s, nnz in net.sent:
         for origin, value_doubles in enumerate(nnz):
             for u in range(mix.n):
@@ -238,3 +238,18 @@ def test_network_accounting_matches_per_packet_oracle():
             == arrivals[t]
     assert np.array_equal(net.value_doubles, sum(values.values()))
     assert np.array_equal(net.metadata_doubles, metadata)
+    return mix, net
+
+
+def test_network_accounting_matches_per_packet_oracle():
+    _check_traffic_against_oracle(30)
+
+
+def test_run_inside_warmup_delivers_its_packets():
+    # a run that ends inside the dense warm-up still delivers the packets
+    # relayed during it, up to its last round's first hop
+    for rounds in (1, 4):
+        mix, net = _check_traffic_against_oracle(rounds)
+        assert rounds < bootstrap_rounds(mix)
+        assert max(net.arrivals) == rounds
+        assert net.value_doubles.sum() > 0
