@@ -273,6 +273,8 @@ class BatchedTable:
         self.d = d = samples.d
         self.auc = samples.family == "auc"
         self.X = samples.X.toarray()
+        # einsum, not `lipschitz_bound`'s per-row dots: they differ in the last
+        # bit on about half of unit rows, so a switch moves every trajectory
         self.na2 = np.einsum("ij,ij->i", self.X, self.X)
         self.sizes = np.bincount(samples.row_node)
         self.inv_q = 1.0 / self.sizes[:, None]

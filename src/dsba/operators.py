@@ -15,10 +15,10 @@ The l2 level `lam` is never baked into the family resolvents; it is applied
 through the rescaling identity J_{alpha(B+lam I)}(z) = J_{rho alpha B}(rho z)
 with rho = 1/(1 + lam*alpha), so the closed forms above stay exact.
 
-`SampleMatrix` holds all samples of a problem in one CSR matrix and
-evaluates every component at once; the per-sample `eval_component` is the
-reference it is tested against and the path of the stochastic per-round
-updates.
+`SampleMatrix` holds all samples of a problem in one CSR matrix, the only
+data a run's set-up builds; it evaluates every component at once, and
+`lipschitz_bound` reads every row's bound off it. The per-sample
+`eval_component` is its tested reference and the per-node engine's path.
 """
 
 from __future__ import annotations
@@ -141,9 +141,10 @@ class SampleMatrix:
     family: str
     X: sp.csr_array
     Xb: sp.csr_array
-    # Xb transposed and stored: building the transpose for every product
-    # costs about as much as the product itself
+    # Xb and X transposed and stored (XT is X.T, a CSC view of X's arrays):
+    # building the transpose per product costs about as much as the product
     XbT: sp.csr_array
+    XT: sp.csc_array
     y: np.ndarray
     row_node: np.ndarray
     weight: np.ndarray
@@ -169,7 +170,7 @@ class SampleMatrix:
                           shape=(Q, N * d))
         y = np.array([s.label for s in rows], dtype=np.float64)
         c, slot = auc_row_constants(y, p) if family == "auc" else (None, None)
-        return cls(family, X, Xb, Xb.T.tocsr(), y, row_node, 1.0 / sizes[row_node],
+        return cls(family, X, Xb, Xb.T.tocsr(), X.T, y, row_node, 1.0 / sizes[row_node],
                    np.cumsum(sizes) - sizes, p, c, slot)
 
     @property
@@ -332,21 +333,24 @@ def resolve_regularized(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.n
     return wrap_l2_resolvent(lambda a, z: resolvent(op, a, z), op.lam, alpha, psi)
 
 
-def lipschitz_bound(op: OperatorSpec) -> float:
-    """Lipschitz constant of the regularized operator, ||B'||_2 + lam.
+def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
+    """Every row's Lipschitz constant ||B_i'||_2 + lam, in one array pass.
 
     Closed forms for ridge/logistic. The auc operator is affine and its
     linear part acts only on span{a/||a||, the sample's offset, theta}, so
-    its norm is the spectral norm of a 3x3 matrix in that basis.
+    its norm is the spectral norm of a 3x3 matrix in that basis, taken for
+    all rows in one batched norm.
     """
-    s, na2 = op.sample, op.na2
-    if op.family == "ridge":
-        return na2 + op.lam
-    if op.family == "logistic":
-        return 0.25 * na2 + op.lam
-    p, r, y = op.p, np.sqrt(na2), s.label
-    c = 2.0 * (1 - p) if y > 0 else 2.0 * p
-    M = np.array([[c * na2, -c * r, -y * c * r],
-                  [-c * r, c, 0.0],
-                  [y * c * r, 0.0, 2.0 * p * (1 - p)]])
-    return float(np.linalg.norm(M, 2) + op.lam)
+    # one dot per row slice, as OperatorSpec.na2: bitwise its closed forms
+    data, ptr = samples.X.data, samples.X.indptr.tolist()
+    na2 = np.array([data[a:b] @ data[a:b] for a, b in zip(ptr[:-1], ptr[1:])])
+    if samples.family == "ridge":
+        return na2 + lam
+    if samples.family == "logistic":
+        return 0.25 * na2 + lam
+    p, r, y, c = samples.p, np.sqrt(na2), samples.y, samples.auc_c
+    M = np.zeros((len(na2), 3, 3))
+    M[:, 0, 0], M[:, 0, 1], M[:, 0, 2] = c * na2, -c * r, -y * c * r
+    M[:, 1, 0], M[:, 1, 1] = -c * r, c
+    M[:, 2, 0], M[:, 2, 2] = y * c * r, 2.0 * p * (1 - p)
+    return np.linalg.norm(M, 2, axis=(1, 2)) + lam

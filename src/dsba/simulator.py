@@ -22,7 +22,7 @@ from . import dataset as ds
 from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
                          extra_round, local_mean_operator, make_node,
                          step_size_bound)
-from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
+from .operators import (COUNTERS, FAMILIES, OperatorSpec, SampleMatrix, eval_component,
                         lipschitz_bound, make_operator, reset_counters)
 from .sparse import SparseVec
 from .sparsecomm import Network, bootstrap_rounds, run_sparse
@@ -32,10 +32,6 @@ VARIANTS = ("dsba", "dsa", "extra", "pointsaga")
 
 
 class ConfigError(ValueError):
-    pass
-
-
-class SolverError(RuntimeError):
     pass
 
 
@@ -87,19 +83,29 @@ def synthetic_samples(spec: SyntheticSpec) -> list[ds.Sample]:
 
 @dataclass
 class Problem:
+    """The shards and the one sample matrix that set-up builds. The
+    per-sample operators `ops` are built on first read, which only the
+    per-node reference engine (engine = generic, Point-SAGA) makes."""
+
     family: str
     shards: ds.Shards
     lam: float
-    ops: list[list[OperatorSpec]]   # per node
     dim: int
     samples: SampleMatrix
 
+    @functools.cached_property
+    def ops(self) -> list[list[OperatorSpec]]:
+        return [[make_operator(self.family, s, self.lam, self.shards.d, self.samples.p)
+                 for s in shard] for shard in self.shards.per_node]
+
     @property
     def n_nodes(self) -> int:
-        return len(self.ops)
+        return self.shards.n_nodes
 
 
 def build_problem(shards: ds.Shards, family: str, lam: float) -> Problem:
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}")
     if family in ("logistic", "auc"):
         for shard in shards.per_node:
             for s in shard:
@@ -109,11 +115,9 @@ def build_problem(shards: ds.Shards, family: str, lam: float) -> Problem:
     p = shards.p if family == "auc" else None
     if family == "auc" and not (0.0 < shards.p < 1.0):
         raise ConfigError("auc needs both classes present")
-    ops = [[make_operator(family, s, lam, shards.d, p) for s in shard]
-           for shard in shards.per_node]
     dim = shards.d + 3 if family == "auc" else shards.d
     samples = SampleMatrix.from_shards(family, shards.per_node, shards.d, p)
-    return Problem(family, shards, lam, ops, dim, samples)
+    return Problem(family, shards, lam, dim, samples)
 
 
 def global_operator(problem: Problem):
@@ -127,7 +131,7 @@ def global_operator(problem: Problem):
         z = np.asarray(z, dtype=np.float64)
         coef, tails = S.row_terms(S.X @ z[:S.d], z[S.d:])
         out = (N * problem.lam) * z
-        out[:S.d] += S.X.T @ (S.weight * coef)
+        out[:S.d] += S.XT @ (S.weight * coef)
         if tails is not None:
             out[S.d:] += S.weight @ tails
         return out
@@ -164,7 +168,7 @@ def reference_solution(problem: Problem, tol: float = 1e-12,
                 break
             m = S.y * (S.X @ z)
             curv = sp.diags_array(S.weight * expit(m) * expit(-m))
-            J = (S.X.T @ (curv @ S.X)).toarray() + (N * problem.lam) * np.eye(dim)
+            J = (S.XT @ (curv @ S.X)).toarray() + (N * problem.lam) * np.eye(dim)
             step = np.linalg.solve(J, r)
             damp = 1.0
             while damp > 1e-6:
@@ -222,10 +226,6 @@ def auc_score(w: np.ndarray, X, labels: np.ndarray) -> float:
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def max_lipschitz(problem: Problem) -> float:
-    return max(lipschitz_bound(op) for ops_n in problem.ops for op in ops_n)
-
-
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -257,7 +257,7 @@ class RunConfig:
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}")
-        if self.family not in ("ridge", "logistic", "auc"):
+        if self.family not in FAMILIES:
             raise ConfigError("family must be ridge|logistic|auc")
         if self.comm not in ("dense", "sparse"):
             raise ConfigError("comm must be dense|sparse")
@@ -408,12 +408,6 @@ class LyapunovTracker:
 # engines
 
 
-def _make_states(problem: Problem, alpha: float, seed: int,
-                 z0: np.ndarray) -> list[NodeState]:
-    return [make_node(n, ops_n, alpha, problem.lam, z0, seed)
-            for n, ops_n in enumerate(problem.ops)]
-
-
 def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
                        variant: str, on_round) -> np.ndarray:
     """Per-node engine for dsba, dsa and pointsaga. Point-SAGA is the N = 1
@@ -496,7 +490,7 @@ def run(config: RunConfig) -> RunResult:
     if config.tau_scale != 1.0:
         tau = config.tau_scale * float(np.linalg.eigvalsh(laplacian(adjacency))[-1])
     mix = build_mixing(adjacency, tau)
-    L = max_lipschitz(problem)
+    L = float(lipschitz_bound(problem.samples, lam).max())
     alpha = config.alpha if config.alpha is not None else step_size_bound(L)
     z_star, z_resid = reference_solution(problem)
     z0 = np.zeros(problem.dim)
@@ -572,7 +566,8 @@ def run(config: RunConfig) -> RunResult:
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     else:
         # every engine's table starts anchored at Z0, and gives round 0's entry
-        table = (_make_states(problem, alpha, config.seed, z0) if engine == "generic"
+        table = ([make_node(n, ops_n, alpha, lam, z0, config.seed)
+                  for n, ops_n in enumerate(problem.ops)] if engine == "generic"
                  else BatchedTable(problem.samples, Z0, config.seed))
         if tracker is not None:
             tracker.update(0, Z0, table)
@@ -586,14 +581,13 @@ def run(config: RunConfig) -> RunResult:
             Z_final, _ = run_sparse(table, mix, Z0, config.rounds, alpha=alpha, lam=lam,
                                     variant=config.variant, on_round=on_round, net=net)
 
-    gamma = mix.gamma
     manifest = {
         "config": asdict(config),
         "engine": engine,
         "alpha": alpha,
         "lambda": lam,
         "lipschitz": L,
-        "gamma": gamma,
+        "gamma": mix.gamma,
         "graph_edges": int(adjacency.sum() // 2),
         "q_min": shards.q_min,
         "Q": shards.Q,

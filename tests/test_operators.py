@@ -5,6 +5,7 @@ from dsba.dataset import Sample
 from dsba.operators import (
     COUNTERS,
     OperatorError,
+    SampleMatrix,
     eval_component,
     eval_operator,
     lipschitz_bound,
@@ -25,6 +26,11 @@ def _sample(rng, d, nnz=None, label=None):
     if label is None:
         label = 1.0 if rng.random() < 0.5 else -1.0
     return Sample(idx, val, label)
+
+
+def _bounds(family, samples, lam, d, p=None):
+    """`lipschitz_bound` of the given samples, as one node's rows."""
+    return lipschitz_bound(SampleMatrix.from_shards(family, [samples], d, p), lam)
 
 
 def test_unknown_family_rejected():
@@ -190,7 +196,7 @@ def test_lipschitz_bound_dominates_observed_ratios(family):
     s = _sample(rng, d)
     p = 0.3 if family == "auc" else None
     op = make_operator(family, s, 0.25, d, p=p)
-    L = lipschitz_bound(op)
+    (L,) = _bounds(family, [s], 0.25, d, p)
     for _ in range(50):
         z1 = rng.standard_normal(op.dim)
         z2 = rng.standard_normal(op.dim)
@@ -206,12 +212,41 @@ def test_auc_lipschitz_is_jacobian_norm(label):
     rng = np.random.default_rng(10)
     d, lam = 7, 0.05
     for p in (0.2, 0.5, 0.9):
-        op = make_operator("auc", _sample(rng, d, nnz=4, label=label), lam, d, p=p)
+        s = _sample(rng, d, nnz=4, label=label)
+        op = make_operator("auc", s, lam, d, p=p)
         base = eval_component(op, np.zeros(op.dim)).to_dense()
         J = np.column_stack([eval_component(op, e).to_dense() - base
                              for e in np.eye(op.dim)])
         exact = np.linalg.norm(J, 2) + lam
-        assert lipschitz_bound(op) == pytest.approx(exact, rel=1e-12)
+        (L,) = _bounds("auc", [s], lam, d, p)
+        assert L == pytest.approx(exact, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_lipschitz_bound_rows_equal_one_sample_closed_form(family):
+    # every row's bound is bitwise the closed form from that row's own
+    # squared norm, whatever its place, sparsity or label in the matrix
+    rng = np.random.default_rng(11)
+    d, lam, p = 9, 0.05, 0.35
+    samples = [_sample(rng, d, nnz=int(rng.integers(1, d + 1)),
+                       label=None if family != "ridge" else float(rng.normal()))
+               for _ in range(12)]
+    L = _bounds(family, samples, lam, d, p if family == "auc" else None)
+    assert L.shape == (len(samples),)
+    for i, s in enumerate(samples):
+        na2 = float(s.values @ s.values)
+        if family == "ridge":
+            expect = na2 + lam
+        elif family == "logistic":
+            expect = 0.25 * na2 + lam
+        else:
+            r, y = np.sqrt(na2), s.label
+            c = 2.0 * (1 - p) if y > 0 else 2.0 * p
+            M = np.array([[c * na2, -c * r, -y * c * r],
+                          [-c * r, c, 0.0],
+                          [y * c * r, 0.0, 2.0 * p * (1 - p)]])
+            expect = float(np.linalg.norm(M, 2) + lam)
+        assert L[i] == expect
 
 
 def test_counters_track_usage():

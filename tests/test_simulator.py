@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dsba.algorithms import extra_round, local_mean_operator
-from dsba.operators import COUNTERS, eval_component, reset_counters
+from dsba.operators import (COUNTERS, OperatorSpec, eval_component, lipschitz_bound,
+                            reset_counters)
 from dsba.simulator import (
     ConfigError,
     MetricsLog,
@@ -110,6 +111,18 @@ def test_build_problem_rejects_bad_labels():
         build_problem(shards, "logistic", lam=0.1)
 
 
+def test_build_problem_rejects_what_operators_reject():
+    # set-up builds no per-sample operator, so build_problem itself rejects
+    # an unknown family and auc data with one class
+    shards = partition(synthetic_samples(_spec()), 2, seed=0, d=8)
+    with pytest.raises(ConfigError, match="unknown family"):
+        build_problem(shards, "huber", lam=0.1)
+    one_class = [s for s in synthetic_samples(_spec(kind="classification", n_samples=60))
+                 if s.label > 0]
+    with pytest.raises(ConfigError, match="both classes"):
+        build_problem(partition(one_class, 2, seed=0, d=8), "auc", lam=0.1)
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -207,6 +220,37 @@ def test_engine_choice(kw, engine):
     cfg = RunConfig(synthetic=spec, **{"n_nodes": 4, "topology": "complete",
                                        "rounds": 3, "seed": 0, **kw})
     assert run(cfg).manifest["engine"] == engine
+
+
+@pytest.mark.parametrize("kw,built", [
+    pytest.param(dict(), False, id="batched"),
+    pytest.param(dict(family="auc"), False, id="batched-auc"),
+    pytest.param(dict(comm="sparse"), False, id="sparse"),
+    pytest.param(dict(variant="extra"), False, id="extra"),
+    pytest.param(dict(track_lyapunov=True), False, id="batched-lyapunov"),
+    pytest.param(dict(engine="generic"), True, id="generic"),
+    pytest.param(dict(engine="generic", track_lyapunov=True), True, id="generic-lyapunov"),
+    pytest.param(dict(variant="pointsaga", n_nodes=1), True, id="pointsaga"),
+])
+def test_only_the_per_node_engine_builds_operators(kw, built, monkeypatch):
+    # set-up builds the sample matrix alone: one OperatorSpec per sample is
+    # built, once, only for the per-node reference engine, and the step
+    # size's L is the largest of the sample matrix's row bounds
+    made = []
+    post_init = OperatorSpec.__post_init__
+
+    def counting(op):
+        made.append(op)
+        post_init(op)
+
+    monkeypatch.setattr(OperatorSpec, "__post_init__", counting)
+    kw = dict(kw)
+    family = kw.setdefault("family", "ridge")
+    spec = _spec(kind="ridge" if family == "ridge" else "classification", margin=0.05)
+    res = run(RunConfig(synthetic=spec, **{"n_nodes": 4, "topology": "complete",
+                                           "rounds": 3, "seed": 0, **kw}))
+    assert len(made) == (spec.n_samples if built else 0)
+    assert res.manifest["lipschitz"] == lipschitz_bound(res.problem.samples, res.lam).max()
 
 
 def test_metrics_csv_roundtrip():
