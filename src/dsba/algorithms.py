@@ -1,11 +1,13 @@
 """Per-node update rules.
 
 Implements the implicit (resolvent-based) variance-reduced update, its
-explicit counterpart and the full-activation baseline round. On a single
-node (self-loop mixing, W = Wt = 1) the implicit update is Point-SAGA.
-`BatchedTable.step` takes every node's round at once, in primal-dual form,
-for the dense batched engine and the sparse relay alike; the per-node steps
-are the reference it is tested against.
+explicit counterpart and the full-activation baseline round (EXTRA). On a
+single node (self-loop mixing, W = Wt = 1) the implicit update is Point-SAGA.
+Every production loop runs the primal-dual recurrence on `dual_step`:
+`BatchedTable.step` takes every node's dsba, dsa or Point-SAGA round at once,
+for the dense batched engine and the sparse relay alike, and `extra_round`
+takes EXTRA's. The per-node steps keep the float64 mixing form Wt(2Z - Z^-);
+they are the reference oracle, which only engine = generic runs.
 
 Conventions shared by every method:
 
@@ -199,13 +201,25 @@ def node_means(samples: SampleMatrix, coef: np.ndarray,
                tails: np.ndarray | None) -> np.ndarray:
     """Per-node means (N, dim) of the rows c_i x_i, with auc's tail block
     in the last three columns."""
-    N, d = len(samples.starts), samples.d
-    out = np.zeros((N, d if tails is None else d + 3))
-    out[:, :d] = (samples.XbT @ (samples.weight * coef)).reshape(N, d)
-    if tails is not None:
-        out[:, d:] = np.add.reduceat(samples.weight[:, None] * tails,
-                                     samples.starts, axis=0)
-    return out
+    means = (samples.XbT @ (samples.weight * coef)).reshape(len(samples.starts), samples.d)
+    if tails is None:
+        return means
+    return np.hstack([means, np.add.reduceat(samples.weight[:, None] * tails,
+                                             samples.starts, axis=0)])
+
+
+def dual_step(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The dual update of every production loop: advances the dual S =
+    S^{t-1} in place to S^t = S^{t-1} + (Z^t - Wt Z^t), WZ = Wt Z^t, and
+    returns WZ - S^t. Summed over rounds this is the mixing term Wt(2Z - Z-),
+    and from S^{-1} = 0 round 0 gives W Z = (2 Wt - I) Z. S's node mean is
+    zero in exact arithmetic, since 1'(I - Wt) = 0 for any Z, so it is
+    subtracted each round: rounding then cannot pile up along the consensus
+    direction, where the float64 mixing form drifts linearly in the round
+    count."""
+    S += Z - WZ
+    S -= S.sum(axis=0) / len(S)
+    return WZ - S
 
 
 def primal_dual_round(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray, phibar: np.ndarray,
@@ -219,30 +233,20 @@ def primal_dual_round(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray, phibar: np.n
     and delta.
 
     This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-) (V the
-    variance-reduced estimate, W Z at round 0), summed over rounds. The dual
-    is S^t = S^{t-1} + (Z^t - Wt Z^t), and W = 2 Wt - I makes round 0 start
-    from W Z. Then
+    variance-reduced estimate, W Z at round 0), summed over rounds:
+    `dual_step` advances S and gives Wt Z - S. Then
       dsba: u = rho (Wt Z - S - alpha phibar), rho = 1/(1 + lam alpha),
             Z+ = u - rho alpha delta, the row-wise resolvent of
             alpha (B_i + lam I) at Wt Z - S + alpha (phi_i - phibar);
       dsa:  u = Wt Z - S - alpha (phibar + lam Z), Z+ = u - alpha delta;
     and phibar += delta / q.
 
-    The node mean of S is zero in exact arithmetic, since 1'(I - Wt) = 0
-    for any Z, so it is subtracted after each update: rounding then cannot
-    pile up along the consensus direction, where the float64 mixing form
-    drifts linearly with the round count. The subtraction removes only that
-    rounding. That holds for any Z, also for a state the sparse relay's
-    observers replay (`sparsecomm.ObserverMemory`) with rows whose deltas
-    an observer has not heard: whatever those rows hold, the mean is zero
-    but for rounding, so in exact arithmetic subtracting it passes nothing
-    from them to the rows the observer reads, and the replay takes this
-    same round. In float64 it passes their rounding, at the level of the
-    last bit; that is the live round's own rounding, so the replay still
-    equals the live round bitwise."""
-    S += Z - WZ
-    S -= S.sum(axis=0) / len(S)
-    u = WZ - S
+    The dual's node-mean subtraction holds also for a state the sparse
+    relay's observers replay (`sparsecomm.ObserverMemory`) with rows whose
+    deltas an observer has not heard: their mean is zero but for rounding,
+    so the replay takes this same round, and in float64 it carries the live
+    round's own last-bit rounding, so it equals the live round bitwise."""
+    u = dual_step(Z, WZ, S)
     if variant == "dsba":
         rho = 1.0 / (1.0 + lam * alpha)
         u -= alpha * phibar
@@ -363,16 +367,16 @@ class BatchedTable:
         return 2.0 * float(self.samples.weight @ sq)
 
 
-def extra_round(Z: np.ndarray, Z_prev: np.ndarray, G: np.ndarray, G_prev: np.ndarray,
-                W: np.ndarray, Wt: np.ndarray, alpha: float, t: int) -> np.ndarray:
-    """Full-activation primal-dual baseline round.
-
-    G rows hold the full regularized local operator at Z; round 0 uses the
-    plain gossip matrix, later rounds the averaged one.
-    """
-    if t == 0:
-        return W @ Z - alpha * G
-    return Wt @ (2.0 * Z - Z_prev) - alpha * (G - G_prev)
+def extra_round(Z: np.ndarray, S: np.ndarray, G: np.ndarray, Wt: np.ndarray,
+                alpha: float) -> np.ndarray:
+    """EXTRA's round on `dual_step`: from Z = Z^t, the dual S = S^{t-1}
+    (advanced in place) and G = G^t, the rows of `local_mean_operator` at
+    Z, returns Z^{t+1} = Wt Z - S^t - alpha G. Differencing two rounds gives
+    EXTRA's mixing form Wt(2Z - Z-) - alpha (G - G-); from S^{-1} = 0 round
+    0 is W Z - alpha G."""
+    Z_next = dual_step(Z, Wt @ Z, S)
+    Z_next -= alpha * G
+    return Z_next
 
 
 def step_size_bound(L: float) -> float:

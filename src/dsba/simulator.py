@@ -85,7 +85,7 @@ def synthetic_samples(spec: SyntheticSpec) -> list[ds.Sample]:
 class Problem:
     """The shards and the one sample matrix that set-up builds. The
     per-sample operators `ops` are built on first read, which only the
-    per-node reference engine (engine = generic, Point-SAGA) makes."""
+    per-node reference oracle (engine = generic) makes."""
 
     family: str
     shards: ds.Shards
@@ -410,9 +410,9 @@ class LyapunovTracker:
 
 def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
                        variant: str, on_round) -> np.ndarray:
-    """Per-node engine for dsba, dsa and pointsaga. Point-SAGA is the N = 1
-    case: there W = Wt = [[1.0]], so the mixing input is exactly z^0 at
-    round 0 and 2 z^t - z^{t-1} afterwards."""
+    """The per-node reference oracle for dsba, dsa and pointsaga, run only
+    under engine = generic, on the float64 mixing form: W Z at round 0, then
+    Wt(2 Z^t - Z^{t-1}). Point-SAGA is the N = 1 case, W = Wt = [[1.0]]."""
     step = dsa_node_step if variant == "dsa" else dsba_node_step
     Z = np.stack([s.z for s in states])
     Zp = Z.copy()
@@ -429,14 +429,11 @@ def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
 
 def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
                z0: np.ndarray, on_round) -> np.ndarray:
-    S, lam = problem.samples, problem.lam
+    samples, lam = problem.samples, problem.lam
     Z = np.tile(z0, (problem.n_nodes, 1))
-    G = local_mean_operator(S, Z, lam)
-    Zp, Gp = Z, G
+    S = np.zeros(Z.shape)
     for t in range(rounds):
-        Znew = extra_round(Z, Zp, G, Gp, mix.W, mix.Wt, alpha, t)
-        Zp, Z = Z, Znew
-        Gp, G = G, local_mean_operator(S, Z, lam)
+        Z = extra_round(Z, S, local_mean_operator(samples, Z, lam), mix.Wt, alpha)
         if on_round(t, Z):
             break
     return Z
@@ -444,8 +441,8 @@ def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
 
 def _run_batched(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: int,
                  alpha: float, lam: float, variant: str, on_round) -> np.ndarray:
-    """Dense engine for dsba and dsa on every family: all nodes take one
-    float64 array round (`BatchedTable.step`) on the mixing product Wt Z."""
+    """Dense engine for dsba, dsa and Point-SAGA on every family: all nodes
+    take one float64 array round (`BatchedTable.step`) on the product Wt Z."""
     Z = Z0
     for t in range(rounds):
         Z, _, _ = table.step(Z, mix.Wt @ Z, alpha, lam, variant)
@@ -468,12 +465,11 @@ def _load_shards(config: RunConfig) -> ds.Shards:
 
 
 def _pick_engine(config: RunConfig) -> str:
-    """The engine label: "fast", the batched round, for every sparse run and
-    for dense dsba and dsa under engine = auto, Lyapunov tracking included;
-    else "generic", the per-node loop that Point-SAGA uses, and the label
-    EXTRA's own full-activation loop reports."""
+    """The engine label: "fast", the batched round, under engine = auto and
+    for every sparse run; "generic", the per-node reference oracle, under
+    engine = generic, and the label EXTRA's full-activation loop reports."""
     fast_ok = config.comm == "sparse" or (
-        config.engine == "auto" and config.variant in ("dsba", "dsa"))
+        config.engine == "auto" and config.variant != "extra")
     return "fast" if fast_ok else "generic"
 
 
@@ -574,9 +570,9 @@ def run(config: RunConfig) -> RunResult:
         if engine == "generic":
             Z_final = _run_dense_generic(table, mix, config.rounds, config.variant,
                                          on_round)
-        elif net is None:
+        elif net is None:  # Point-SAGA is dsba on one node
             Z_final = _run_batched(table, mix, Z0, config.rounds, alpha, lam,
-                                   config.variant, on_round)
+                                   "dsa" if config.variant == "dsa" else "dsba", on_round)
         else:
             Z_final, _ = run_sparse(table, mix, Z0, config.rounds, alpha=alpha, lam=lam,
                                     variant=config.variant, on_round=on_round, net=net)

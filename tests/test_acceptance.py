@@ -196,16 +196,17 @@ def test_node_step_back_substitution_with_ridge():
 
 
 def test_single_node_matches_pointsaga_bitwise():
-    # run(variant="pointsaga") is the implicit update on a self-loop:
-    # mixing input z^0 at round 0 and 2 z^t - z^{t-1} afterwards
+    # run(variant="pointsaga", engine="generic") is the implicit update on a
+    # self-loop: mixing input z^0 at round 0 and 2 z^t - z^{t-1} afterwards;
+    # engine="auto" takes the batched dsba round, which stays within 1e-10
     rounds, seed = 600, 5
     for family in ("ridge", "logistic", "auc"):
         kind = "ridge" if family == "ridge" else "classification"
         spec = SyntheticSpec(kind=kind, d=8, n_samples=15, margin=0.05, seed=3)
-        cfg = RunConfig(family=family, variant="pointsaga", n_nodes=1,
-                        topology="complete", synthetic=spec, rounds=rounds,
-                        seed=seed, record_trajectory=True, track_lyapunov=True)
-        result = run(cfg)
+        common = dict(family=family, variant="pointsaga", n_nodes=1,
+                      topology="complete", synthetic=spec, rounds=rounds,
+                      seed=seed, record_trajectory=True, track_lyapunov=True)
+        result = run(RunConfig(engine="generic", **common))
         assert result.manifest["engine"] == "generic"
         assert len(result.trajectory) == rounds + 1
 
@@ -220,6 +221,11 @@ def test_single_node_matches_pointsaga_bitwise():
             z_next, _, _ = dsba_node_step(node, mixed)
             assert np.array_equal(result.trajectory[t + 1][0], z_next), (family, t)
         assert np.array_equal(result.z_final[0], node.z)
+
+        fast = run(RunConfig(engine="auto", **common))
+        assert fast.manifest["engine"] == "fast"
+        gap = np.max(np.abs(np.array(fast.trajectory) - np.array(result.trajectory)))
+        assert gap <= 1e-10, (family, gap)
 
 
 def test_single_node_converges_within_pass_budget():

@@ -162,15 +162,21 @@ def test_pointsaga_equals_dsba_self_loop():
 
 
 def test_extra_round_shapes_and_t0():
+    # from S^{-1} = 0 round 0 is W Z - alpha G; the next round is EXTRA's
+    # mixing form Wt(2Z - Z-) - alpha(G - G-)
     rng = np.random.default_rng(8)
     N, d = 4, 3
     mix = build_mixing(make_adjacency("ring", N))
     Z = rng.standard_normal((N, d))
     G = rng.standard_normal((N, d))
-    out0 = extra_round(Z, Z, G, np.zeros_like(G), mix.W, mix.Wt, 0.1, t=0)
+    S = np.zeros((N, d))
+    out0 = extra_round(Z, S, G, mix.Wt, 0.1)
+    assert out0.shape == (N, d)
     assert np.allclose(out0, mix.W @ Z - 0.1 * G)
-    out1 = extra_round(Z, out0, G, G, mix.W, mix.Wt, 0.1, t=1)
-    assert np.allclose(out1, mix.Wt @ (2 * Z - out0))
+    G1 = rng.standard_normal((N, d))
+    out1 = extra_round(out0, S, G1, mix.Wt, 0.1)
+    assert np.allclose(out1, mix.Wt @ (2 * out0 - Z) - 0.1 * (G1 - G))
+    assert np.allclose(S.sum(axis=0), 0.0)
 
 
 def test_step_size_bound():
