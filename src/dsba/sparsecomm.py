@@ -3,28 +3,29 @@
 After a short dense warm-up, nodes stop broadcasting full iterates and
 exchange only the per-round sparse table corrections (delta packets), relayed
 hop-by-hop along shortest paths. Every node acts as an *observer* of the
-whole network that rebuilds its own mixing input from the delta stream. All
-observers run at one depth D, the graph's largest eccentricity, so their
-state is kept once for the whole network (`ObserverMemory`): the network's
-primal-dual state at lag D, which every observer has heard in full, and the
-delta blocks of the D rounds since.
+whole network that rebuilds its own mixing input from the delta stream. The
+observers' state is kept once for the whole network (`ObserverMemory`): the
+network's primal-dual state at the head round and its mixing product, plus
+the delta blocks not replayed yet.
 
-Each round the observers replay those D rounds through `primal_dual_round`,
-the update every node takes in `BatchedTable.step`, and so rebuild every
-node's mixing product Wt Z^t. There is one recurrence: a node's round and an
-observer's replay of it are the same operations on the same arrays, so a
-sparse run equals the dense batched run bitwise, at every round.
+Each round the observers replay the newest delta block once through
+`primal_dual_round`, the update every node takes in `BatchedTable.step`, and
+so rebuild every node's mixing product Wt Z^t with one product. There is one
+recurrence: a node's round and an observer's replay of it are the same
+operations on the same arrays, so a sparse run equals the dense batched run
+bitwise, at every round.
 
 Each delta is written once, by its origin, into the round's N x dim block.
 Observer o reads origin m's corrections only below the delivered-round
 watermark heard[o, m], the last round it heard from m with no gap; reading
 past it, or hearing a gap or a repeat, raises `ProtocolError`. In exact
 arithmetic row o of Wt Z^t depends on origin m's round t - k only if
-dist(o, m) <= k, and that round has reached o by round t, so the shared
-depth needs no extra traffic. The guarantee is an exact-arithmetic one: the
-replay runs on whole blocks, and the dual's node-mean subtraction sums every
-row, so in float64 row o carries rounding, at the level of the last bit,
-from origins o has not heard yet.
+dist(o, m) <= k, and that round has reached o by round t, so the replay
+needs no extra traffic; since `heard` only grows, one comparison at lag
+max(dist(o, m), 1) checks every such round. The guarantee is an
+exact-arithmetic one: the replay runs on whole blocks, and the dual's
+node-mean subtraction sums every row, so in float64 row o carries rounding,
+at the level of the last bit, from origins o has not heard yet.
 """
 
 from __future__ import annotations
@@ -106,21 +107,21 @@ class Network:
 
 
 class ObserverMemory:
-    """Every observer's view of the network, kept once at the common depth D.
+    """Every observer's view of the network, kept once at the head round.
 
-    The snapshot is the network's primal-dual state, Z, the dual S and the
-    table mean phibar, at round t - D before round t (S one round behind),
-    and the delta blocks of the rounds since; row m of round s's block is
-    node m's table correction. Each round replays those D rounds through
-    `primal_dual_round`, the update every node takes, to rebuild every
-    node's mixing product Wt Z^t.
+    The head is the network's primal-dual state, Z^t, the dual S^{t-1} and
+    the table mean phibar^t, with its mixing product Wt Z^t, plus the delta
+    blocks of the rounds not replayed yet; row m of round s's block is node
+    m's table correction. `advance` replays each block once through
+    `primal_dual_round`, the update every node takes, which moves the head
+    one round and gives every node's mixing product.
 
-    The snapshot starts from the run's initial state: Z^0, S = 0 and the
-    table mean anchored at Z^0, phibar^0. That holds nothing the dense
-    warm-up does not give observers: Z^0 is where every node starts, and
-    phibar^0 follows from Z^0, the warm-up iterate Z^1 and the relayed round-0
-    deltas through round 0's update. The first relay round folds the
-    warm-up rounds into it."""
+    The head starts at the run's initial state: Z^0, S = 0 and the table
+    mean anchored at Z^0, phibar^0. That holds nothing the dense warm-up
+    does not give observers: Z^0 is where every node starts, and phibar^0
+    follows from Z^0, the warm-up iterate Z^1 and the relayed round-0 deltas
+    through round 0's update. The first relay round replays the warm-up
+    rounds."""
 
     def __init__(self, mix: MixingMatrix, qs: np.ndarray, Z0: np.ndarray,
                  phibar: np.ndarray, alpha: float, lam: float, variant: str):
@@ -129,13 +130,12 @@ class ObserverMemory:
         self.Wt = mix.Wt
         self.inv_q = 1.0 / np.asarray(qs)[:, None]
         self.alpha, self.lam, self.variant = alpha, lam, variant
-        # at least 1: the newest deltas at round t are round t - 1's, also on one node
-        self.depth = D = max(int(mix.eccentricities.max()), 1)
-        # support[j]: the origins each observer's row reads at lag D - j,
-        # dist(o, m) <= D - j; round t - D + j needs exactly those
-        self.support = np.stack([mix.distances <= k for k in range(D, 0, -1)])
-        self.round = 0  # the snapshot's round
+        # lag[o, m]: observer o reads origin m's rounds up to t - lag[o, m] at
+        # round t; at least 1, since the newest deltas are round t - 1's
+        self.lag = np.maximum(mix.distances, 1)
+        self.round = 0  # the head's round
         self.Z = np.array(Z0, dtype=np.float64)
+        self.WZ = self.Wt @ self.Z
         self.dual = np.zeros(self.Z.shape)
         self.phibar = np.array(phibar, dtype=np.float64)
         self.blocks: dict[int, np.ndarray] = {}  # round s >= self.round -> delta block
@@ -154,33 +154,26 @@ class ObserverMemory:
                                 f"round={arrivals[o, m]}) after round {self.heard[o, m]}")
         self.heard[got] = arrivals[got]
 
-    def _replay(self, Z: np.ndarray, S: np.ndarray, phibar: np.ndarray,
-                block: np.ndarray) -> np.ndarray:
-        Z_next, _ = primal_dual_round(Z, self.Wt @ Z, S, phibar, self.inv_q, self.alpha,
-                                      self.lam, self.variant, lambda u, c: block)
-        return Z_next
-
     def advance(self, t: int) -> np.ndarray:
-        """Every node's mixing product Wt Z^t, row n = sum_m wt_{n,m} z_m^t,
-        replayed from the snapshot on the delta blocks of rounds t - D to
-        t - 1. In exact arithmetic row o reads round s only from origins
-        within t - s hops of o, and one masked comparison checks that
-        observer o has heard those.
-        The snapshot then moves on to round t - D + 1, whose state every
-        observer has heard in full."""
-        D = self.depth
-        late = self.support & (self.heard < np.arange(t - D, t)[:, None, None])
+        """Every node's mixing product Wt Z^t, row n = sum_m wt_{n,m} z_m^t:
+        the head replays the blocks of its rounds up to t - 1, each once. In
+        exact arithmetic row o reads round t - k only from origins within k
+        hops of o, and one comparison at `lag` checks that observer o has
+        heard those. The product returned is the head's own array, not a
+        copy: callers must not write to it, and `primal_dual_round` does not."""
+        late = self.heard < t - self.lag
         if late.any():
-            _, o, m = np.argwhere(late)[0]
+            o, m = np.argwhere(late)[0]
             raise ProtocolError(f"observer {o} missing delta "
                                 f"(origin={m}, round={self.heard[o, m] + 1})")
-        while self.round <= t - D:
-            self.Z = self._replay(self.Z, self.dual, self.phibar, self.blocks.pop(self.round))
+        while self.round < t:
+            block = self.blocks.pop(self.round)
+            self.Z, _ = primal_dual_round(self.Z, self.WZ, self.dual, self.phibar, self.inv_q,
+                                          self.alpha, self.lam, self.variant,
+                                          lambda u, c: block)
+            self.WZ = self.Wt @ self.Z
             self.round += 1
-        Z, S, phibar = self.Z, self.dual.copy(), self.phibar.copy()
-        for s in range(self.round, t):
-            Z = self._replay(Z, S, phibar, self.blocks[s])
-        return self.Wt @ Z
+        return self.WZ
 
     def finish_round(self, t: int, block: np.ndarray) -> None:
         """Close round t on its delta block, row m written by origin m."""
@@ -190,7 +183,7 @@ class ObserverMemory:
 
 def bootstrap_rounds(mix: MixingMatrix) -> int:
     """Dense warm-up length, the graph's largest eccentricity plus three
-    rounds. The observers' snapshot starts at the run's initial state, so
+    rounds. The observers' head starts at the run's initial state, so
     the relay needs no warm-up history; the length sets only how many
     rounds are sent dense, and with it a run's traffic."""
     return int(mix.eccentricities.max()) + 3

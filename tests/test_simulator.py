@@ -306,7 +306,7 @@ def test_sparse_run_matches_dense_end_to_end():
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("topology,n_nodes", [("star", 6), ("path", 8), ("random", 20)])
 def test_sparse_matches_dense_with_mixed_eccentricities(variant, topology, n_nodes):
-    # observers of one graph hold memories of different depths
+    # observers of one graph read their origins at different lags
     common = dict(family="ridge", variant=variant, engine="generic", n_nodes=n_nodes,
                   topology=topology, edge_prob=0.2,
                   synthetic=_spec(d=12, n_samples=6 * n_nodes, nnz=4), lam=0.05,

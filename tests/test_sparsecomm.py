@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dsba.algorithms import BatchedTable, dsa_node_step, dsba_node_step, make_node
+from dsba import sparsecomm
+from dsba.algorithms import (
+    BatchedTable,
+    dsa_node_step,
+    dsba_node_step,
+    make_node,
+    primal_dual_round,
+)
 from dsba.dataset import Sample
 from dsba.operators import SampleMatrix, make_operator
 from dsba.sparsecomm import (
@@ -160,9 +167,13 @@ class _Withholding(Network):
         return arrivals
 
 
-@pytest.mark.parametrize("origin,dest", [(0, 3), (2, 1), (3, 2)])
-def test_observer_needs_every_delta_it_reads(origin, dest):
-    mix = build_mixing(make_adjacency("path", 4))
+# ids are origin-dest
+@pytest.mark.parametrize("n,origin,dest", [(4, 0, 3), (4, 2, 1), (4, 3, 2), (6, 0, 5)],
+                         ids=["0-3", "2-1", "3-2", "0-5"])
+def test_observer_needs_every_delta_it_reads(n, origin, dest):
+    # distances 3, 1 and 1 on a 4-node path, and the far end of a 6-node
+    # path, where the lag equals the largest eccentricity D = 5
+    mix = build_mixing(make_adjacency("path", n))
     rnd = bootstrap_rounds(mix) + 4
     net = _Withholding(mix.distances, origin, rnd, dest)
     done = []
@@ -175,6 +186,32 @@ def test_observer_needs_every_delta_it_reads(origin, dest):
         _run_sparse(mix, 60, d=8, q=4, variant="dsba", on_round=on_round, net=net)
     # the observer first reads the delta in the round the packet was due
     assert done[-1] == rnd + mix.distances[origin, dest] - 1
+
+
+def test_relay_replays_each_round_once(monkeypatch):
+    # the observers replay each delta block once, not once per round of lag
+    calls = []
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return primal_dual_round(*args, **kw)
+
+    # BatchedTable.step calls the name in `algorithms`, so only the
+    # observers' replays are counted
+    monkeypatch.setattr(sparsecomm, "primal_dual_round", counting)
+    mix = build_mixing(make_adjacency("path", 6))
+    assert mix.eccentricities.max() == 5
+    per_round = {}
+
+    def on_round(t, Z, table):
+        per_round[t] = len(calls)
+
+    _run_sparse(mix, 40, d=8, q=4, variant="dsba", on_round=on_round)
+    boot = bootstrap_rounds(mix)
+    # the first relay round replays the warm-up, every later round one block
+    assert per_round[boot] == boot
+    assert all(per_round[t] - per_round[t - 1] == 1 for t in range(boot + 1, 40))
+    assert len(calls) == 39
 
 
 def test_observer_rejects_gap_and_repeat():
