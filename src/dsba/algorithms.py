@@ -81,12 +81,6 @@ class PhiTable:
         self.val[i] = new.val.copy()
         return SparseVec(self.idx[i], dval, self.dim)
 
-    def estimator(self, i: int, z: np.ndarray, lam: float) -> np.ndarray:
-        """Variance-reduced estimate B_i(z) - phi_i + phibar + lam*z (dense)."""
-        out = self.phibar + lam * np.asarray(z, dtype=np.float64)
-        self.lookup(i).add_into(out, -1.0)
-        return out
-
     def distance_to(self, targets: list[SparseVec]) -> float:
         """sum_i ||phi_i - target_i||^2 over same-support targets."""
         total = 0.0
@@ -222,45 +216,6 @@ def dual_step(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray) -> np.ndarray:
     return WZ - S
 
 
-def primal_dual_round(Z: np.ndarray, WZ: np.ndarray, S: np.ndarray, phibar: np.ndarray,
-                      inv_q: np.ndarray, alpha: float, lam: float, variant: str,
-                      correction) -> tuple[np.ndarray, np.ndarray]:
-    """Every node's dsba or dsa round in primal-dual form, from Z = Z^t, its
-    mixing product WZ = Wt Z^t, the dual S = S^{t-1} and the table mean
-    phibar = phibar^t; S and phibar are advanced in place. `correction(u, c)`
-    gives the round's N x dim table correction block delta, where c is
-    delta's weight in Z+ (for dsba the resolvent's step). Returns Z^{t+1}
-    and delta.
-
-    This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-) (V the
-    variance-reduced estimate, W Z at round 0), summed over rounds:
-    `dual_step` advances S and gives Wt Z - S. Then
-      dsba: u = rho (Wt Z - S - alpha phibar), rho = 1/(1 + lam alpha),
-            Z+ = u - rho alpha delta, the row-wise resolvent of
-            alpha (B_i + lam I) at Wt Z - S + alpha (phi_i - phibar);
-      dsa:  u = Wt Z - S - alpha (phibar + lam Z), Z+ = u - alpha delta;
-    and phibar += delta / q.
-
-    The dual's node-mean subtraction holds also for a state the sparse
-    relay's observers replay (`sparsecomm.ObserverMemory`) with rows whose
-    deltas an observer has not heard: their mean is zero but for rounding,
-    so the replay takes this same round, and in float64 it carries the live
-    round's own last-bit rounding, so it equals the live round bitwise."""
-    u = dual_step(Z, WZ, S)
-    if variant == "dsba":
-        rho = 1.0 / (1.0 + lam * alpha)
-        u -= alpha * phibar
-        u *= rho
-        c = rho * alpha
-    else:
-        u -= alpha * (phibar + lam * Z)
-        c = alpha
-    delta = correction(u, c)
-    phibar += delta * inv_q
-    u -= c * delta
-    return u, delta
-
-
 class BatchedTable:
     """Every node's table, sample stream, single-sample kernels and dual as
     arrays, for the engines that step all N nodes in one array round
@@ -286,66 +241,78 @@ class BatchedTable:
         self.coef, self.tails = samples.row_terms(
             samples.Xb @ Z0[:, :d].ravel(), Z0[samples.row_node, d:] if self.auc else None)
         self.phibar = node_means(samples, self.coef, self.tails)
-        self.dual = np.zeros(Z0.shape)  # S of `primal_dual_round`, S^{-1} = 0
+        self.dual = np.zeros(Z0.shape)  # S of `step`, S^{-1} = 0
         self._rngs = [np.random.default_rng([seed, n]) for n in range(len(self.sizes))]
         self._draws = np.empty((0, len(self.sizes)), dtype=np.int64)
         self._next = 0
 
     def step(self, Z: np.ndarray, WZ: np.ndarray, alpha: float, lam: float,
-             variant: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+             variant: str) -> tuple[np.ndarray, np.ndarray]:
         """One dsba or dsa round of every node from Z = Z^t and its mixing
-        product WZ = Wt Z^t: returns Z^{t+1}, the round's N x dim delta
-        block and the drawn rows r, all fresh arrays. The update itself is
-        `primal_dual_round` on the table's dual and mean; this method draws
-        the samples and computes the delta block from its u.
+        product WZ = Wt Z^t: returns Z^{t+1} and the drawn rows r, both
+        fresh arrays, and advances the table, its mean phibar and the dual
+        S = S^{t-1} in place.
 
-        The dsba resolvent is J_{rho alpha B_i}(rho psi), rho =
-        1/(1 + lam alpha). With the old entry c_old a, rho psi = u + rho
-        alpha c_old a, so its margin is a'u + rho alpha c_old ||a||^2, and
-        for the kernel's output coefficient e the output is u + rho alpha
-        (c_old - e) a = u - rho alpha delta: one rank-1 correction per row.
-        That e is B_i(Z+)'s coefficient (auc: with the kernel's s, o_out and
-        theta_out), so it is the new entry and nothing is evaluated again
-        at Z+. For auc, psi's tail is u's plus rho alpha times the old tail
-        entry, and u - rho alpha delta on the tail equals the kernel's
-        o_out and theta_out in exact arithmetic."""
+        This is the per-node recurrence Z+ = Wt(2Z - Z-) - alpha(V - V-) (V
+        the variance-reduced estimate, W Z at round 0), summed over rounds:
+        `dual_step` advances S and gives Wt Z - S. Then, with the round's
+        N x dim table correction block delta,
+          dsba: u = rho (Wt Z - S - alpha phibar), rho = 1/(1 + lam alpha),
+                Z+ = u - rho alpha delta, the row-wise resolvent of
+                alpha (B_i + lam I) at Wt Z - S + alpha (phi_i - phibar);
+          dsa:  u = Wt Z - S - alpha (phibar + lam Z), Z+ = u - alpha delta;
+        and phibar += delta / q.
+
+        The dsba resolvent is J_{rho alpha B_i}(rho psi). With the old
+        entry c_old a, rho psi = u + rho alpha c_old a, so its margin is
+        a'u + rho alpha c_old ||a||^2, and for the kernel's output
+        coefficient e the output is u + rho alpha (c_old - e) a = u - rho
+        alpha delta: one rank-1 correction per row. That e is B_i(Z+)'s
+        coefficient (auc: with the kernel's s, o_out and theta_out), so it
+        is the new entry and nothing is evaluated again at Z+. For auc,
+        psi's tail is u's plus rho alpha times the old tail entry, and u -
+        rho alpha delta on the tail equals the kernel's o_out and theta_out
+        in exact arithmetic."""
         r = self.draw()
         s, d, n = self.samples, self.d, len(r)
         c_old, A = self.coef.take(r), self.X.take(r, axis=0)
         tails_old = self.tails.take(r, axis=0) if self.auc else None
-
-        def correction(u: np.ndarray, ra: float) -> np.ndarray:
-            if variant == "dsba":
-                na2, y = self.na2.take(r), s.y.take(r)
-                m = np.einsum("nd,nd->n", u[:, :d], A) + ra * c_old * na2
-                if self.auc:
-                    tail = u[:, d:] + ra * tails_old  # psi's tail
-                    c, slot = s.auc_c.take(r), s.auc_slot.take(r)
-                    e, sm, o_out, theta_out = kernel_auc(m, na2, y, ra, c,
-                                                         tail[self.nodes, slot], tail[:, 2], s.p)
-                    new_tails = np.zeros((n, 3))
-                    new_tails[self.nodes, slot] = -c * (sm - o_out)
-                    new_tails[:, 2] = 2.0 * s.p * (1 - s.p) * theta_out + y * c * sm
-                else:
-                    e, _ = resolve_margins(s.family, m, na2, y, ra)
-                COUNTERS["resolves"] += n
-                COUNTERS["component_evals"] += n
-            else:
-                e, new_tails = s.row_terms(np.einsum("nd,nd->n", Z[:, :d], A),
-                                           Z[:, d:] if self.auc else None, rows=r)
+        u = dual_step(Z, WZ, self.dual)
+        if variant == "dsba":
+            rho = 1.0 / (1.0 + lam * alpha)
+            u -= alpha * self.phibar
+            u *= rho
+            ra = rho * alpha
+            na2, y = self.na2.take(r), s.y.take(r)
+            m = np.einsum("nd,nd->n", u[:, :d], A) + ra * c_old * na2
             if self.auc:
-                delta = np.empty(Z.shape)
-                np.multiply((e - c_old)[:, None], A, out=delta[:, :d])
-                delta[:, d:] = new_tails - tails_old
-                self.tails[r] = new_tails
+                tail = u[:, d:] + ra * tails_old  # psi's tail
+                c, slot = s.auc_c.take(r), s.auc_slot.take(r)
+                e, sm, o_out, theta_out = kernel_auc(m, na2, y, ra, c,
+                                                     tail[self.nodes, slot], tail[:, 2], s.p)
+                new_tails = np.zeros((n, 3))
+                new_tails[self.nodes, slot] = -c * (sm - o_out)
+                new_tails[:, 2] = 2.0 * s.p * (1 - s.p) * theta_out + y * c * sm
             else:
-                delta = (e - c_old)[:, None] * A
-            self.coef[r] = e
-            return delta
-
-        Z_next, delta = primal_dual_round(Z, WZ, self.dual, self.phibar, self.inv_q,
-                                          alpha, lam, variant, correction)
-        return Z_next, delta, r
+                e, _ = resolve_margins(s.family, m, na2, y, ra)
+            COUNTERS["resolves"] += n
+            COUNTERS["component_evals"] += n
+        else:
+            u -= alpha * (self.phibar + lam * Z)
+            ra = alpha
+            e, new_tails = s.row_terms(np.einsum("nd,nd->n", Z[:, :d], A),
+                                       Z[:, d:] if self.auc else None, rows=r)
+        if self.auc:
+            delta = np.empty(Z.shape)
+            np.multiply((e - c_old)[:, None], A, out=delta[:, :d])
+            delta[:, d:] = new_tails - tails_old
+            self.tails[r] = new_tails
+        else:
+            delta = (e - c_old)[:, None] * A
+        self.coef[r] = e
+        self.phibar += delta * self.inv_q
+        u -= ra * delta
+        return u, r
 
     def draw(self) -> np.ndarray:
         """Each node's sample for the next round, as global row indices."""

@@ -29,9 +29,6 @@ class Sample:
     def nnz(self) -> int:
         return int(len(self.indices))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 @dataclass
 class Shards:

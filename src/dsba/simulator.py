@@ -445,7 +445,7 @@ def _run_batched(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds:
     take one float64 array round (`BatchedTable.step`) on the product Wt Z."""
     Z = Z0
     for t in range(rounds):
-        Z, _, _ = table.step(Z, mix.Wt @ Z, alpha, lam, variant)
+        Z, _ = table.step(Z, mix.Wt @ Z, alpha, lam, variant)
         if on_round(t, Z, table):
             break
     return Z

@@ -2,28 +2,23 @@
 
 After a short dense warm-up, nodes stop broadcasting full iterates and
 exchange only the per-round sparse table corrections (delta packets), relayed
-hop-by-hop along shortest paths. Every node acts as an *observer* of the
-whole network that rebuilds its own mixing input from the delta stream. The
-observers' state is kept once for the whole network (`ObserverMemory`): the
-network's primal-dual state at the head round and its mixing product, plus
-the delta blocks not replayed yet.
+hop-by-hop along shortest paths. The relay is two things: the traffic
+accounting (`Network`), which counts every value and tag each node receives,
+and the receive rule (`ObserverMemory`), which checks before every round that
+each node has heard every delta its mixing input reads. The round itself is
+the dense batched engine's, `BatchedTable.step` on Wt Z^t: every node is an
+*observer* that could rebuild its row of that product from the deltas it has
+heard, and the simulation takes the row from the live product instead, so a
+sparse run equals the dense batched run bitwise, at every round.
 
-Each round the observers replay the newest delta block once through
-`primal_dual_round`, the update every node takes in `BatchedTable.step`, and
-so rebuild every node's mixing product Wt Z^t with one product. There is one
-recurrence: a node's round and an observer's replay of it are the same
-operations on the same arrays, so a sparse run equals the dense batched run
-bitwise, at every round.
-
-Each delta is written once, by its origin, into the round's N x dim block.
-Observer o reads origin m's corrections only below the delivered-round
-watermark heard[o, m], the last round it heard from m with no gap; reading
-past it, or hearing a gap or a repeat, raises `ProtocolError`. In exact
+Observer o may read origin m's corrections only up to the delivered-round
+watermark heard[o, m], the last round it heard from m with no gap; needing
+more, or hearing a gap or a repeat, raises `ProtocolError`. In exact
 arithmetic row o of Wt Z^t depends on origin m's round t - k only if
-dist(o, m) <= k, and that round has reached o by round t, so the replay
-needs no extra traffic; since `heard` only grows, one comparison at lag
-max(dist(o, m), 1) checks every such round. The guarantee is an
-exact-arithmetic one: the replay runs on whole blocks, and the dual's
+dist(o, m) <= k, and that round has reached o by round t, so the relay
+needs no traffic beyond the deltas; since `heard` only grows, one comparison
+at lag max(dist(o, m), 1) checks every such round. The guarantee is an
+exact-arithmetic one: the round runs on whole arrays, and the dual's
 node-mean subtraction sums every row, so in float64 row o carries rounding,
 at the level of the last bit, from origins o has not heard yet.
 """
@@ -34,7 +29,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .algorithms import BatchedTable, primal_dual_round
+from .algorithms import BatchedTable
 # the per-node step is the reference the batched round is tested against;
 # perfbench/spans.py traces it under this module's name as well
 from .algorithms import dsba_node_step  # noqa: F401
@@ -107,40 +102,17 @@ class Network:
 
 
 class ObserverMemory:
-    """Every observer's view of the network, kept once at the head round.
+    """Every observer's delivered-round watermark, kept once for the whole
+    network. `heard[o, m]` is the last round observer o heard from origin m
+    with no gap before it. At round t, row o of the mixing product Wt Z^t
+    reads origin m's deltas up to round t - lag[o, m], with lag[o, m] =
+    max(dist(o, m), 1). The product itself is the live round's: this class
+    holds no state of the network's round and only checks that each row
+    reads what its observer has heard."""
 
-    The head is the network's primal-dual state, Z^t, the dual S^{t-1} and
-    the table mean phibar^t, with its mixing product Wt Z^t, plus the delta
-    blocks of the rounds not replayed yet; row m of round s's block is node
-    m's table correction. `advance` replays each block once through
-    `primal_dual_round`, the update every node takes, which moves the head
-    one round and gives every node's mixing product.
-
-    The head starts at the run's initial state: Z^0, S = 0 and the table
-    mean anchored at Z^0, phibar^0. That holds nothing the dense warm-up
-    does not give observers: Z^0 is where every node starts, and phibar^0
-    follows from Z^0, the warm-up iterate Z^1 and the relayed round-0 deltas
-    through round 0's update. The first relay round replays the warm-up
-    rounds."""
-
-    def __init__(self, mix: MixingMatrix, qs: np.ndarray, Z0: np.ndarray,
-                 phibar: np.ndarray, alpha: float, lam: float, variant: str):
-        if variant not in ("dsba", "dsa"):
-            raise ProtocolError(f"sparse protocol supports dsba/dsa, not {variant!r}")
-        self.Wt = mix.Wt
-        self.inv_q = 1.0 / np.asarray(qs)[:, None]
-        self.alpha, self.lam, self.variant = alpha, lam, variant
-        # lag[o, m]: observer o reads origin m's rounds up to t - lag[o, m] at
-        # round t; at least 1, since the newest deltas are round t - 1's
+    def __init__(self, mix: MixingMatrix):
+        # at least 1, since the newest deltas are round t - 1's
         self.lag = np.maximum(mix.distances, 1)
-        self.round = 0  # the head's round
-        self.Z = np.array(Z0, dtype=np.float64)
-        self.WZ = self.Wt @ self.Z
-        self.dual = np.zeros(self.Z.shape)
-        self.phibar = np.array(phibar, dtype=np.float64)
-        self.blocks: dict[int, np.ndarray] = {}  # round s >= self.round -> delta block
-        # delivered-round watermark: heard[o, m] is the last round observer o
-        # heard from origin m with no gap before it
         self.heard = np.full((mix.n, mix.n), -1, dtype=np.int64)
 
     def absorb(self, arrivals: np.ndarray) -> None:
@@ -154,38 +126,27 @@ class ObserverMemory:
                                 f"round={arrivals[o, m]}) after round {self.heard[o, m]}")
         self.heard[got] = arrivals[got]
 
-    def advance(self, t: int) -> np.ndarray:
-        """Every node's mixing product Wt Z^t, row n = sum_m wt_{n,m} z_m^t:
-        the head replays the blocks of its rounds up to t - 1, each once. In
-        exact arithmetic row o reads round t - k only from origins within k
-        hops of o, and one comparison at `lag` checks that observer o has
-        heard those. The product returned is the head's own array, not a
-        copy: callers must not write to it, and `primal_dual_round` does not."""
+    def advance(self, t: int) -> None:
+        """Check that every observer may read its row of round t's mixing
+        product Wt Z^t, row o = sum_m wt_{o,m} z_m^t. In exact arithmetic
+        row o reads round t - k only from origins within k hops of o, and
+        since `heard` only grows, one comparison at `lag` checks that
+        observer o has heard all of those."""
         late = self.heard < t - self.lag
         if late.any():
             o, m = np.argwhere(late)[0]
             raise ProtocolError(f"observer {o} missing delta "
                                 f"(origin={m}, round={self.heard[o, m] + 1})")
-        while self.round < t:
-            block = self.blocks.pop(self.round)
-            self.Z, _ = primal_dual_round(self.Z, self.WZ, self.dual, self.phibar, self.inv_q,
-                                          self.alpha, self.lam, self.variant,
-                                          lambda u, c: block)
-            self.WZ = self.Wt @ self.Z
-            self.round += 1
-        return self.WZ
 
-    def finish_round(self, t: int, block: np.ndarray) -> None:
-        """Close round t on its delta block, row m written by origin m."""
+    def finish_round(self, t: int) -> None:
+        """Close round t: every origin has its own round-t delta."""
         np.fill_diagonal(self.heard, t)
-        self.blocks[t] = block
 
 
 def bootstrap_rounds(mix: MixingMatrix) -> int:
     """Dense warm-up length, the graph's largest eccentricity plus three
-    rounds. The observers' head starts at the run's initial state, so
-    the relay needs no warm-up history; the length sets only how many
-    rounds are sent dense, and with it a run's traffic."""
+    rounds. The relay keeps no history of the warm-up, so the length sets
+    only how many rounds are sent dense, and with it a run's traffic."""
     return int(mix.eccentricities.max()) + 3
 
 
@@ -196,12 +157,13 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
 
     Every node starts at its row of `Z0`, where `table` (fresh, anchored at
     `Z0`) has its entries. All nodes step in one array round,
-    `BatchedTable.step`, the dense batched engine's primal-dual round: on the
-    dense mixing product Wt Z during the warm-up, and on the observers'
-    rebuild of it from the relayed deltas after, which replays the same
-    rounds and so gives the dense run's product bitwise. A node's packet
-    carries its delta's nonzeros: the sample row's, plus two tail values for
-    auc.
+    `BatchedTable.step`, the dense batched engine's round, on the mixing
+    product Wt Z, so a sparse run is the dense batched run bitwise. What
+    the protocol adds is its traffic and its receive rule: after the
+    warm-up, nodes send only their deltas, and before every round
+    `ObserverMemory` checks that each node has heard every delta its row of
+    Wt Z reads. A node's packet carries its delta's nonzeros: the sample
+    row's, plus two tail values for auc.
 
     `on_round(t, Z, table)` is called after every round with the stacked
     iterate matrix and the table; a true result stops the run. `net` is a
@@ -209,25 +171,26 @@ def run_sparse(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds: i
     traffic inside `on_round`; by default one is built here. Returns the
     final iterate matrix and the network (for communication accounting).
     """
+    if variant not in ("dsba", "dsa"):
+        raise ProtocolError(f"sparse protocol supports dsba/dsa, not {variant!r}")
     if net is None:
         net = Network(mix.distances)
     Z = np.array(Z0, dtype=np.float64)
     dim = Z.shape[1]
     payload = np.diff(table.samples.X.indptr) + (2 if table.auc else 0)
-    memory = ObserverMemory(mix, table.sizes, Z, table.phibar, alpha, lam, variant)
+    memory = ObserverMemory(mix)
     degrees = mix.adjacency.sum(axis=1)
     t_boot = min(bootstrap_rounds(mix), rounds)
     for t in range(rounds):
         if t < t_boot:
-            WZ = mix.Wt @ Z
             net.account_dense_round(degrees, dim)
         else:
             if t > t_boot:
                 memory.absorb(net.deliver(t))
-            WZ = memory.advance(t)
-        Z, delta, r = table.step(Z, WZ, alpha, lam, variant)
+            memory.advance(t)
+        Z, r = table.step(Z, mix.Wt @ Z, alpha, lam, variant)
         net.broadcast(t, payload[r])
-        memory.finish_round(t, delta)
+        memory.finish_round(t)
         if on_round is not None and on_round(t, Z, table):
             break
         if t + 1 == t_boot:

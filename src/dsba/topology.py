@@ -140,10 +140,6 @@ class MixingMatrix:
     def eccentricities(self) -> np.ndarray:
         return self.distances.max(axis=1)
 
-    @property
-    def diameter(self) -> int:
-        return int(self.distances.max())
-
 
 def build_mixing(A, tau: float | None = None) -> MixingMatrix:
     """W = I - L/tau. By default tau = lambda_max(L), which makes W psd while

@@ -287,7 +287,8 @@ def test_sparse_protocol_matches_dense(variant, graph):
     lam = 0.05
     problem = build_problem(shards, "ridge", lam=lam)
     L = max(
-        max(op.sample.norm() ** 2 + lam for op in ops) for ops in problem.ops
+        max(float(np.linalg.norm(op.sample.values)) ** 2 + lam for op in ops)
+        for ops in problem.ops
     )
     alpha = 1.0 / (24.0 * L)
 

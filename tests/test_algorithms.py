@@ -91,7 +91,8 @@ def test_estimator_unbiased_over_samples():
     z = rng.standard_normal(d)
     mean_est = np.zeros(d)
     for i in range(q):
-        est = table.estimator(i, z, lam)
+        est = table.phibar + lam * z
+        table.lookup(i).add_into(est, -1.0)
         eval_component(ops[i], z).add_into(est)
         mean_est += est / q
     samples = SampleMatrix.from_shards("ridge", [[op.sample for op in ops]], d)
@@ -216,7 +217,7 @@ def test_batched_step_entries_are_components_at_next_iterate(family, variant):
     mixed_rounds = 0
     for _ in range(40):
         Z_prev = Z
-        Z, _, r = table.step(Z, mix.Wt @ Z, 0.3, 0.1, variant)
+        Z, r = table.step(Z, mix.Wt @ Z, 0.3, 0.1, variant)
         at = Z if variant == "dsba" else Z_prev
         coef, tails = samples.row_terms(np.einsum("nd,nd->n", at[:, :d], table.X[r]),
                                         at[:, d:] if auc else None, rows=r)
@@ -241,7 +242,7 @@ def test_batched_auc_resolve_matches_kernel_per_row():
     for _ in range(20):
         coef, tails, phibar = table.coef.copy(), table.tails.copy(), table.phibar.copy()
         S = table.dual + Z - WZ
-        Z_next, _, r = table.step(Z, WZ, alpha, lam, "dsba")
+        Z_next, r = table.step(Z, WZ, alpha, lam, "dsba")
         if len(set(samples.y[r])) == 2:
             break
         Z, WZ = Z_next, mix.Wt @ Z_next

@@ -403,8 +403,8 @@ def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
 def test_sparse_relay_rounds_are_dense_batched_bitwise(family, variant):
-    # after the warm-up the observers replay the same round, so every relay
-    # round's iterate equals the dense batched run's
+    # after the warm-up the nodes take the same round on the same Wt Z, so
+    # every relay round's iterate equals the dense batched run's
     boot, sparse, dense = _sparse_and_dense_trajectories(family, variant, 80)
     assert boot + 60 < 80
     for t in range(boot + 1, 81):
@@ -412,8 +412,8 @@ def test_sparse_relay_rounds_are_dense_batched_bitwise(family, variant):
 
 
 def test_long_sparse_run_stays_on_dense_run():
-    # 100,000 rounds: the observers replay the dense round, so their rebuild
-    # of Wt Z does not drift from the dense batched run as rounds pile up
+    # 100,000 rounds: relay rounds take the dense round on the live Wt Z, so
+    # they do not drift from the dense batched run as rounds pile up
     common = dict(family="ridge", variant="dsba", n_nodes=4, topology="path",
                   synthetic=_spec(d=12, n_samples=24, nnz=4), lam=0.05,
                   rounds=100_000, seed=1, metric_every=10_000, compute_score=False)

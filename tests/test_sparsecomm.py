@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from dsba import sparsecomm
 from dsba.algorithms import (
     BatchedTable,
     dsa_node_step,
     dsba_node_step,
     make_node,
-    primal_dual_round,
 )
 from dsba.dataset import Sample
 from dsba.operators import SampleMatrix, make_operator
@@ -117,7 +115,7 @@ def test_sparse_equals_dense_small(variant, kind, n):
 @pytest.mark.parametrize("kind,n", [("path", 5), ("ring", 6), ("star", 5)])
 def test_sparse_equals_dense_across_warmup_boundary(variant, kind, n):
     # runs that stop inside the dense warm-up, on its last round, and in the
-    # first rounds the observers replay
+    # first relay rounds
     mix = build_mixing(make_adjacency(kind, n))
     b = bootstrap_rounds(mix)
     for rounds in (1, b - 1, b, b + 1, b + 2):
@@ -150,6 +148,18 @@ def test_run_sparse_on_round_early_stop():
 
     _run_sparse(mix, 100, d=8, q=4, variant="dsba", on_round=on_round)
     assert calls[-1] == 10
+
+
+@pytest.mark.parametrize("variant", ["extra", "pointsaga"])
+def test_run_sparse_rejects_other_variants(variant):
+    # the relay carries dsba/dsa table corrections only; the check comes
+    # before the first round, so nothing is sent
+    mix = build_mixing(make_adjacency("ring", 4))
+    net = Network(mix.distances)
+    with pytest.raises(ProtocolError, match=f"sparse protocol supports dsba/dsa, "
+                                            f"not '{variant}'"):
+        _run_sparse(mix, 10, d=8, q=4, variant=variant, net=net)
+    assert not net.received_doubles().any()
 
 
 class _Withholding(Network):
@@ -188,36 +198,9 @@ def test_observer_needs_every_delta_it_reads(n, origin, dest):
     assert done[-1] == rnd + mix.distances[origin, dest] - 1
 
 
-def test_relay_replays_each_round_once(monkeypatch):
-    # the observers replay each delta block once, not once per round of lag
-    calls = []
-
-    def counting(*args, **kw):
-        calls.append(1)
-        return primal_dual_round(*args, **kw)
-
-    # BatchedTable.step calls the name in `algorithms`, so only the
-    # observers' replays are counted
-    monkeypatch.setattr(sparsecomm, "primal_dual_round", counting)
-    mix = build_mixing(make_adjacency("path", 6))
-    assert mix.eccentricities.max() == 5
-    per_round = {}
-
-    def on_round(t, Z, table):
-        per_round[t] = len(calls)
-
-    _run_sparse(mix, 40, d=8, q=4, variant="dsba", on_round=on_round)
-    boot = bootstrap_rounds(mix)
-    # the first relay round replays the warm-up, every later round one block
-    assert per_round[boot] == boot
-    assert all(per_round[t] - per_round[t - 1] == 1 for t in range(boot + 1, 40))
-    assert len(calls) == 39
-
-
 def test_observer_rejects_gap_and_repeat():
     mix = build_mixing(make_adjacency("ring", 4))
-    obs = ObserverMemory(mix, np.full(4, 3), np.zeros((4, 10)), np.zeros((4, 10)),
-                         alpha=0.1, lam=0.1, variant="dsba")
+    obs = ObserverMemory(mix)
 
     def arrivals(*packets):
         arr = np.full((4, 4), -1)
