@@ -25,7 +25,7 @@ from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
 from .operators import (COUNTERS, FAMILIES, OperatorSpec, SampleMatrix, eval_component,
                         lipschitz_bound, make_operator, reset_counters)
 from .sparse import SparseVec
-from .sparsecomm import Network, bootstrap_rounds, run_sparse
+from .sparsecomm import Network, run_sparse
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
 VARIANTS = ("dsba", "dsa", "extra", "pointsaga")
@@ -595,7 +595,7 @@ def run(config: RunConfig) -> RunResult:
         "numpy": np.__version__,
     }
     if net is not None:
-        manifest["traffic"] = traffic_summary(net, bootstrap_rounds(mix))
+        manifest["traffic"] = traffic_summary(net)
     return RunResult(
         config=config, metrics=metrics, z_final=Z_final, z_star=z_star,
         z_star_residual=z_resid, alpha=alpha, lam=lam, mix=mix, problem=problem,
@@ -607,15 +607,16 @@ def run(config: RunConfig) -> RunResult:
     )
 
 
-def traffic_summary(net: Network, warmup: int) -> dict:
-    """Per-node doubles a sparse run received, by kind, and the largest
-    payload any node received in one round after the dense warm-up."""
+def traffic_summary(net: Network) -> dict:
+    """Per-node doubles a sparse run received, by kind (delta payloads, the
+    initial-state flood, packet metadata), and the largest delta payload
+    any node received in one round."""
     return {
         "payload_values": net.value_doubles.tolist(),
         "metadata": net.metadata_doubles.tolist(),
-        "dense_warmup": net.broadcast_doubles.tolist(),
-        "max_round_payload": max((int(v.max()) for t, v in net.round_values.items()
-                                  if t > warmup), default=0),
+        "initial_state": net.initial_doubles.tolist(),
+        "max_round_payload": max((int(v.max()) for v in net.round_values.values()),
+                                 default=0),
     }
 
 

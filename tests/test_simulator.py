@@ -23,7 +23,6 @@ from dsba.simulator import (
     synthetic_samples,
 )
 from dsba.dataset import partition
-from dsba.sparsecomm import bootstrap_rounds
 
 
 def _spec(**kw):
@@ -318,25 +317,29 @@ def test_sparse_matches_dense_with_mixed_eccentricities(variant, topology, n_nod
 
 
 def _traffic_oracle(res):
-    """Per-node payload values, metadata and dense warm-up doubles of a
-    sparse run, packet by packet: node n's round-s packet carries its drawn
-    sample's nonzeros (two more for auc's tail) and reaches every u != n at
+    """Per-node payload values, metadata and initial-state doubles of a
+    sparse run, packet by packet: node n's round -1 packet carries its
+    initial state (2 dim values), its round-s packet its drawn sample's
+    nonzeros (two more for auc's tail), and each reaches every u != n at
     round s + dist(n, u); rounds are delivered up to the run's last."""
     cfg, mix, S = res.config, res.mix, res.problem.samples
     last = cfg.rounds - 1
     values = np.zeros(cfg.n_nodes, dtype=np.int64)
+    initial = np.zeros(cfg.n_nodes, dtype=np.int64)
     metadata = np.zeros(cfg.n_nodes, dtype=np.int64)
     for n, ops in enumerate(res.problem.ops):
         rng = np.random.default_rng([cfg.seed, n])
-        for s in range(cfg.rounds):
-            op = ops[int(rng.integers(len(ops)))]
-            payload = op.sample.nnz + (2 if cfg.family == "auc" else 0)
+        for s in range(-1, cfg.rounds):
+            if s == -1:
+                payload = 2 * res.problem.dim
+            else:
+                op = ops[int(rng.integers(len(ops)))]
+                payload = op.sample.nnz + (2 if cfg.family == "auc" else 0)
             for u in range(cfg.n_nodes):
                 if u != n and s + mix.distances[n, u] <= last:
-                    values[u] += payload
+                    (initial if s == -1 else values)[u] += payload
                     metadata[u] += payload + 2
-    dense = bootstrap_rounds(mix) * mix.adjacency.sum(axis=1).astype(np.int64) * res.problem.dim
-    return values, metadata, dense
+    return values, metadata, initial
 
 
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
@@ -352,12 +355,12 @@ def test_sparse_matches_dense_generic(family, variant):
     assert len({len(ops) for ops in sparse.problem.ops}) == 2
     assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
     assert sparse.manifest["counters"] == dense.manifest["counters"]
-    values, metadata, warmup = _traffic_oracle(sparse)
+    values, metadata, initial = _traffic_oracle(sparse)
     traffic = sparse.manifest["traffic"]
     assert traffic["payload_values"] == values.tolist()
     assert traffic["metadata"] == metadata.tolist()
-    assert traffic["dense_warmup"] == warmup.tolist()
-    assert np.array_equal(sparse.received_doubles, values + warmup)
+    assert traffic["initial_state"] == initial.tolist()
+    assert np.array_equal(sparse.received_doubles, values + initial)
 
 
 @pytest.mark.parametrize("comm", ["dense", "sparse"])
@@ -378,36 +381,19 @@ def test_sparse_lyapunov_matches_dense_generic(family, comm):
                                [h for _, h in generic.lyapunov], rtol=1e-9, atol=0)
 
 
-def _sparse_and_dense_trajectories(family, variant, rounds):
-    kind = "ridge" if family == "ridge" else "classification"
-    common = dict(family=family, variant=variant, n_nodes=6, topology="path",
-                  synthetic=_spec(kind=kind, d=10, n_samples=36, nnz=4, margin=0.05),
-                  lam=0.05, rounds=rounds, seed=3, record_trajectory=True)
-    dense = run(RunConfig(comm="dense", **common))
-    sparse = run(RunConfig(comm="sparse", **common))
-    assert len(sparse.trajectory) == len(dense.trajectory) == rounds + 1
-    return bootstrap_rounds(sparse.mix), sparse.trajectory, dense.trajectory
-
-
-@pytest.mark.parametrize("variant", ["dsba", "dsa"])
-@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
-def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
-    # sparse and dense batched runs take the same round on the same Wt Z
-    # while both use the dense mixing product
-    boot, sparse, dense = _sparse_and_dense_trajectories(family, variant, 12)
-    assert boot < 12
-    for t in range(boot + 1):
-        assert np.array_equal(sparse[t], dense[t]), t
-
-
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
 def test_sparse_relay_rounds_are_dense_batched_bitwise(family, variant):
-    # after the warm-up the nodes take the same round on the same Wt Z, so
-    # every relay round's iterate equals the dense batched run's
-    boot, sparse, dense = _sparse_and_dense_trajectories(family, variant, 80)
-    assert boot + 60 < 80
-    for t in range(boot + 1, 81):
+    # every relay round takes the dense batched round on the same Wt Z, so
+    # every iterate, from the flood's rounds on, equals the dense batched run's
+    kind = "ridge" if family == "ridge" else "classification"
+    common = dict(family=family, variant=variant, n_nodes=6, topology="path",
+                  synthetic=_spec(kind=kind, d=10, n_samples=36, nnz=4, margin=0.05),
+                  lam=0.05, rounds=80, seed=3, record_trajectory=True)
+    dense = run(RunConfig(comm="dense", **common)).trajectory
+    sparse = run(RunConfig(comm="sparse", **common)).trajectory
+    assert len(sparse) == len(dense) == 81
+    for t in range(81):
         assert np.array_equal(sparse[t], dense[t]), t
 
 
@@ -432,14 +418,13 @@ def test_sparse_manifest_summarises_traffic():
     res = run(RunConfig(comm="sparse", **common))
     traffic = res.manifest["traffic"]
     payload = np.array(traffic["payload_values"])
-    assert np.array_equal(payload + traffic["dense_warmup"], res.received_doubles)
+    assert np.array_equal(payload + traffic["initial_state"], res.received_doubles)
     assert np.array_equal(payload, sum(res.comm_per_round.values()))
     # every packet carries as many indices as values, plus two tags
-    tags = np.array(traffic["metadata"]) - payload
+    tags = np.array(traffic["metadata"]) - payload - traffic["initial_state"]
     assert np.all(tags > 0) and np.all(tags % 2 == 0)
-    boot = bootstrap_rounds(res.mix)
     assert traffic["max_round_payload"] == max(
-        int(v.max()) for t, v in res.comm_per_round.items() if t > boot)
+        int(v.max()) for v in res.comm_per_round.values())
     assert traffic["max_round_payload"] > 0
     assert "traffic" not in run(RunConfig(comm="dense", **common)).manifest
     json.loads(manifest_json(res))

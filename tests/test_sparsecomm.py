@@ -10,10 +10,10 @@ from dsba.algorithms import (
 from dsba.dataset import Sample
 from dsba.operators import SampleMatrix, make_operator
 from dsba.sparsecomm import (
+    NO_PACKET,
     Network,
     ObserverMemory,
     ProtocolError,
-    bootstrap_rounds,
     run_sparse,
 )
 from dsba.topology import bfs_distances, build_mixing, make_adjacency
@@ -43,19 +43,6 @@ def test_network_rejects_duplicate_delivery():
     net.broadcast(0, np.full(3, 3))
     with pytest.raises(ProtocolError):
         net.deliver(1)
-
-
-def test_dense_round_accounting():
-    A = make_adjacency("star", 5)
-    net = Network(bfs_distances(A))
-    degrees = A.sum(axis=1)
-    net.account_dense_round(degrees, d=10)
-    assert np.array_equal(net.received_doubles(), degrees.astype(np.int64) * 10)
-
-
-def test_bootstrap_rounds_covers_eccentricity():
-    mix = build_mixing(make_adjacency("path", 6))
-    assert bootstrap_rounds(mix) >= mix.eccentricities.max()
 
 
 ALPHA, LAM, SEED = 0.02, 0.05, 11
@@ -114,28 +101,28 @@ def test_sparse_equals_dense_small(variant, kind, n):
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("kind,n", [("path", 5), ("ring", 6), ("star", 5)])
 def test_sparse_equals_dense_across_warmup_boundary(variant, kind, n):
-    # runs that stop inside the dense warm-up, on its last round, and in the
-    # first relay rounds
+    # short runs: they stop before the initial-state flood has reached every
+    # node, in the round it does (D - 1, D the largest eccentricity), and
+    # just after
     mix = build_mixing(make_adjacency(kind, n))
-    b = bootstrap_rounds(mix)
-    for rounds in (1, b - 1, b, b + 1, b + 2):
+    D = int(mix.eccentricities.max())
+    for rounds in (1, 2, D - 1, D, D + 1):
         Z_sparse, _ = _run_sparse(mix, rounds, variant=variant)
         gap = np.max(np.abs(Z_sparse - _dense_reference(mix, variant, rounds)))
         assert gap < 1e-10, (rounds, gap)
 
 
 def test_sparse_payload_bounded_by_support():
-    # after bootstrap, per-round payload per node is at most
+    # every round's payload per node is at most
     # (number of origins) * (max delta support)
     mix = build_mixing(make_adjacency("ring", 5))
     per_node, _ = _data(mix, d=20, q=5)
     max_nnz = max(s.nnz for shard in per_node for s in shard)
     rounds = 50
     _, net = _run_sparse(mix, rounds, d=20, q=5, variant="dsba")
-    boot = bootstrap_rounds(mix)
-    for t, vals in net.round_values.items():
-        if t > boot + 1:
-            assert vals.max() <= mix.n * max_nnz
+    assert len(net.round_values) == rounds
+    for vals in net.round_values.values():
+        assert vals.max() <= mix.n * max_nnz
 
 
 def test_run_sparse_on_round_early_stop():
@@ -173,18 +160,22 @@ class _Withholding(Network):
         arrivals = super().deliver(t)
         origin, rnd, dest = self.drop
         if arrivals[dest, origin] == rnd:
-            arrivals[dest, origin] = -1
+            arrivals[dest, origin] = NO_PACKET
         return arrivals
 
 
-# ids are origin-dest
-@pytest.mark.parametrize("n,origin,dest", [(4, 0, 3), (4, 2, 1), (4, 3, 2), (6, 0, 5)],
-                         ids=["0-3", "2-1", "3-2", "0-5"])
-def test_observer_needs_every_delta_it_reads(n, origin, dest):
+# ids are origin-dest, and "flood" for the initial-state packet (round -1)
+@pytest.mark.parametrize("n,origin,dest,flood",
+                         [(4, 0, 3, False), (4, 2, 1, False), (4, 3, 2, False),
+                          (6, 0, 5, False), (4, 0, 3, True), (6, 0, 5, True),
+                          (4, 2, 1, True)],
+                         ids=["0-3", "2-1", "3-2", "0-5", "flood-0-3", "flood-0-5",
+                              "flood-2-1"])
+def test_observer_needs_every_delta_it_reads(n, origin, dest, flood):
     # distances 3, 1 and 1 on a 4-node path, and the far end of a 6-node
     # path, where the lag equals the largest eccentricity D = 5
     mix = build_mixing(make_adjacency("path", n))
-    rnd = bootstrap_rounds(mix) + 4
+    rnd = -1 if flood else int(mix.eccentricities.max()) + 4
     net = _Withholding(mix.distances, origin, rnd, dest)
     done = []
 
@@ -194,8 +185,9 @@ def test_observer_needs_every_delta_it_reads(n, origin, dest):
     with pytest.raises(ProtocolError, match=f"observer {dest} missing delta "
                                             f"\\(origin={origin}, round={rnd}\\)"):
         _run_sparse(mix, 60, d=8, q=4, variant="dsba", on_round=on_round, net=net)
-    # the observer first reads the delta in the round the packet was due
-    assert done[-1] == rnd + mix.distances[origin, dest] - 1
+    # the observer first reads the packet in the round it was due, before
+    # round 0 completes for the flood to a neighbour
+    assert len(done) == rnd + mix.distances[origin, dest]
 
 
 def test_observer_rejects_gap_and_repeat():
@@ -203,18 +195,22 @@ def test_observer_rejects_gap_and_repeat():
     obs = ObserverMemory(mix)
 
     def arrivals(*packets):
-        arr = np.full((4, 4), -1)
+        arr = np.full((4, 4), NO_PACKET)
         for dest, origin, rnd in packets:
             arr[dest, origin] = rnd
         return arr
 
+    obs.absorb(arrivals((0, 1, -1), (0, 2, -1)))
     obs.absorb(arrivals((0, 1, 0), (0, 2, 0)))
     with pytest.raises(ProtocolError, match="observer 0 .*origin=1, round=0.* after round 0"):
         obs.absorb(arrivals((0, 1, 0)))
     with pytest.raises(ProtocolError, match="observer 0 .*origin=2, round=2.* after round 0"):
         obs.absorb(arrivals((3, 1, 0), (0, 2, 2)))
     # a rejected round leaves the watermark untouched
-    assert obs.heard.tolist() == [[-1, 0, 0, -1]] + [[-1] * 4] * 3
+    expected = np.full((4, 4), NO_PACKET)
+    np.fill_diagonal(expected, -1)
+    expected[0, 1:3] = 0
+    assert obs.heard.tolist() == expected.tolist()
 
 
 class _Recording(Network):
@@ -233,31 +229,39 @@ class _Recording(Network):
         return self.arrivals[t]
 
 
-def _check_traffic_against_oracle(rounds):
-    # packet by packet: (o, s) reaches every u != o at round s + dist(o, u)
+def _check_traffic_against_oracle(rounds, d=12):
+    # packet by packet: (o, s) reaches every u != o at round s + dist(o, u);
+    # round -1's packet is o's initial state, 2 d values
     mix = build_mixing(make_adjacency("erdos_renyi", 7, p=0.4, seed=2))
     net = _Recording(mix.distances)
-    _run_sparse(mix, rounds, d=12, q=5, variant="dsa", net=net)
+    _run_sparse(mix, rounds, d=d, q=5, variant="dsa", net=net)
     last = max(net.arrivals)
     values = {t: np.zeros(mix.n, dtype=np.int64) for t in net.arrivals}
+    initial = np.zeros(mix.n, dtype=np.int64)
     metadata = np.zeros(mix.n, dtype=np.int64)
     arrivals = {t: [set() for _ in range(mix.n)] for t in net.arrivals}
-    assert [s for s, _ in net.sent] == list(range(rounds))
+    assert [s for s, _ in net.sent] == list(range(-1, rounds))
+    assert net.sent[0][1].tolist() == [2 * d] * mix.n
     for s, nnz in net.sent:
         for origin, value_doubles in enumerate(nnz):
             for u in range(mix.n):
                 t = s + mix.distances[origin, u]
                 if u != origin and t <= last:
-                    values[t][u] += value_doubles
+                    if s == -1:
+                        initial[u] += value_doubles
+                    else:
+                        values[t][u] += value_doubles
                     # indices, plus origin and round tags
                     metadata[u] += value_doubles + 2
                     arrivals[t][u].add((origin, s))
     for t, arr in net.arrivals.items():
         assert np.array_equal(net.round_values[t], values[t])
-        assert [{(o, r) for o, r in enumerate(row) if r >= 0} for row in arr.tolist()] \
-            == arrivals[t]
+        assert [{(o, r) for o, r in enumerate(row) if r != NO_PACKET}
+                for row in arr.tolist()] == arrivals[t]
     assert np.array_equal(net.value_doubles, sum(values.values()))
+    assert np.array_equal(net.initial_doubles, initial)
     assert np.array_equal(net.metadata_doubles, metadata)
+    assert np.array_equal(net.received_doubles(), net.value_doubles + initial)
     return mix, net
 
 
@@ -266,10 +270,120 @@ def test_network_accounting_matches_per_packet_oracle():
 
 
 def test_run_inside_warmup_delivers_its_packets():
-    # a run that ends inside the dense warm-up still delivers the packets
-    # relayed during it, up to its last round's first hop
-    for rounds in (1, 4):
+    # runs shorter than the largest eccentricity D deliver their flood up to
+    # their last round, before it has reached every node
+    for rounds in (1, 3):
         mix, net = _check_traffic_against_oracle(rounds)
-        assert rounds < bootstrap_rounds(mix)
-        assert max(net.arrivals) == rounds
-        assert net.value_doubles.sum() > 0
+        assert rounds < mix.eccentricities.max()
+        assert max(net.arrivals) == rounds - 1
+        assert 0 < net.initial_doubles.min() < (mix.n - 1) * 2 * 12
+    assert net.value_doubles.sum() > 0
+
+
+WITNESS_ROUNDS, WITNESS_Q = 25, 6
+
+
+def _witness_run(mix, family, variant):
+    """A sparse run's live mixing products Wt Z^t for t < WITNESS_ROUNDS,
+    and what its packets carry, taken from the engine's own arrays: Z^0,
+    the table means phibar^0 and the deltas delta^s = (phibar^{s+1} -
+    phibar^s) q. Also the largest magnitude of Z, the dual S and alpha
+    phibar over the run."""
+    per_node, _ = _data(mix, q=WITNESS_Q)
+    if family != "ridge":
+        per_node = [[Sample(s.indices, s.values, 1.0 if s.label > 0 else -1.0)
+                     for s in shard] for shard in per_node]
+    p = np.mean([s.label > 0 for shard in per_node for s in shard])
+    samples = SampleMatrix.from_shards(family, per_node, 12, p=p if family == "auc" else None)
+    Z0 = np.random.default_rng(5).standard_normal((mix.n, 12 + 3 * (family == "auc")))
+    table = BatchedTable(samples, Z0, SEED)
+    Zs, phibars = [Z0], [table.phibar.copy()]
+    scale = [np.abs(Z0).max(), ALPHA * np.abs(table.phibar).max()]
+
+    def on_round(t, Z, table):
+        Zs.append(Z)
+        phibars.append(table.phibar.copy())
+        scale.extend([np.abs(Z).max(), np.abs(table.dual).max(),
+                      ALPHA * np.abs(table.phibar).max()])
+
+    run_sparse(table, mix, Z0, WITNESS_ROUNDS, alpha=ALPHA, lam=LAM, variant=variant,
+               on_round=on_round)
+    deltas = np.stack([(b - a) * WITNESS_Q for a, b in zip(phibars, phibars[1:])])
+    live = [mix.Wt @ Z for Z in Zs[:-1]]
+    return live, Z0, phibars[0], deltas, max(scale)
+
+
+def _rebuilt_row(mix, variant, o, t, Z0, phibar0, deltas, z_known, phi_known, d_known):
+    """Row o of Wt Z^t from the packets observer o holds: the round is
+    linear in (Z^0, phibar^0, the deltas), so run it with every value o
+    does not hold set to zero. The dual's node-mean subtraction is left out:
+    S's node mean is zero in exact arithmetic."""
+    Z = np.where(z_known[:, None], Z0, 0.0)
+    phibar = np.where(phi_known[:, None], phibar0, 0.0)
+    S = np.zeros_like(Z)
+    rho = 1.0 / (1.0 + LAM * ALPHA)
+    for s in range(t):
+        WZ = mix.Wt @ Z
+        S += Z - WZ
+        u = WZ - S
+        delta = np.where(d_known[s][:, None], deltas[s], 0.0)
+        if variant == "dsba":
+            Z = rho * (u - ALPHA * phibar) - rho * ALPHA * delta
+        else:
+            Z = u - ALPHA * (phibar + LAM * Z) - ALPHA * delta
+        phibar = phibar + delta / WITNESS_Q
+    return (mix.Wt @ Z)[o]
+
+
+def _held(mix, o, t):
+    """What observer o holds at round t: initial states from origins within
+    t + 1 hops (the flood, sent at round -1), and delta_m^s once s +
+    dist(o, m) <= t."""
+    dist = mix.distances[o]
+    initial = dist - 1 <= t
+    return initial, initial.copy(), np.arange(WITNESS_ROUNDS)[:, None] + dist <= t
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+@pytest.mark.parametrize("kind,n", [("path", 6), ("star", 6), ("random", 10)])
+def test_observer_rebuilds_its_mixing_row(kind, n, family, variant):
+    # claim (ii): every node can compute its mixing input from the packets
+    # it has been sent. The random graph (graph seed 0) has a leaf.
+    mix = build_mixing(make_adjacency(kind, n, seed=0))
+    live, Z0, phibar0, deltas, scale = _witness_run(mix, family, variant)
+    # Bound, fixed from float64 before running: per round every entry
+    # passes through the N-term mixing sum and at most q + 4 further
+    # rounded operations (the dual, phibar and delta terms, and the delta's
+    # recovery from phibar, scaled by q), each off by at most eps times the
+    # largest magnitude in play, `scale`. The (Z, S) map contracts except
+    # along the consensus direction, where an error in the dual's node mean
+    # feeds Z every later round, so errors grow at most linearly and sum to
+    # at most T^2 (N + q + 4) eps scale after T rounds.
+    eps = np.finfo(np.float64).eps
+    bound = WITNESS_ROUNDS ** 2 * (mix.n + WITNESS_Q + 4) * eps * scale
+
+    def gap(o, t, known):
+        return np.abs(_rebuilt_row(mix, variant, o, t, Z0, phibar0, deltas, *known)
+                      - live[t][o]).max()
+
+    for o in range(mix.n):
+        for t in range(WITNESS_ROUNDS):
+            assert gap(o, t, _held(mix, o, t)) <= bound, (o, t)
+
+    # negative control: one packet fewer, in the round o first reads it,
+    # moves the row by far more than the bound: z_m^0 at round dist - 1,
+    # phibar_m^0 at round dist, delta_m^1 at round 1 + dist (dsa's round-0
+    # deltas are zero in exact arithmetic, its table being anchored at Z^0)
+    for o in range(mix.n):
+        for m in range(mix.n):
+            dist = mix.distances[o, m]
+            if m == o or dist + 1 >= WITNESS_ROUNDS:
+                continue
+            for t, part in ((dist - 1, 0), (dist, 1), (dist + 1, 2)):
+                known = _held(mix, o, t)
+                if part < 2:
+                    known[part][m] = False
+                else:
+                    known[2][1, m] = False
+                assert gap(o, t, known) > 100 * bound, (o, m, part)
