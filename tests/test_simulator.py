@@ -383,6 +383,26 @@ def test_sparse_lyapunov_matches_dense_generic(family, comm):
 
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_sparse_warmup_is_dense_batched_bitwise(family, variant):
+    # a short run that ends soon after the opening rounds, while the initial
+    # state flooded at round -1 is still reaching the far nodes, takes the
+    # dense batched round at every step, up to the final iterate
+    kind = "ridge" if family == "ridge" else "classification"
+    common = dict(family=family, variant=variant, n_nodes=6, topology="path",
+                  synthetic=_spec(kind=kind, d=10, n_samples=36, nnz=4, margin=0.05),
+                  lam=0.05, rounds=12, seed=3, record_trajectory=True)
+    dense = run(RunConfig(comm="dense", **common))
+    sparse = run(RunConfig(comm="sparse", **common))
+    flood = int(sparse.mix.distances.max())
+    assert flood < 12
+    assert len(sparse.trajectory) == len(dense.trajectory) == 13
+    for t in range(13):
+        assert np.array_equal(sparse.trajectory[t], dense.trajectory[t]), t
+    assert np.array_equal(sparse.z_final, dense.z_final)
+
+
+@pytest.mark.parametrize("variant", ["dsba", "dsa"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
 def test_sparse_relay_rounds_are_dense_batched_bitwise(family, variant):
     # every relay round takes the dense batched round on the same Wt Z, so
     # every iterate, from the flood's rounds on, equals the dense batched run's
