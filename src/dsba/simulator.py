@@ -25,7 +25,7 @@ from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
 from .operators import (COUNTERS, FAMILIES, OperatorSpec, SampleMatrix, eval_component,
                         lipschitz_bound, make_operator, reset_counters)
 from .sparse import SparseVec
-from .sparsecomm import Network, run_sparse
+from .sparsecomm import Network, run_sparse, traffic_summary
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
 VARIANTS = ("dsba", "dsa", "extra", "pointsaga")
@@ -336,7 +336,7 @@ class RunResult:
     manifest: dict
     lyapunov: list[tuple[int, float]] | None = None
     trajectory: list[np.ndarray] | None = None
-    comm_per_round: dict[int, np.ndarray] | None = None
+    comm_per_round: list[int] | None = None  # each node's largest one-round payload
     received_doubles: np.ndarray | None = None
 
 
@@ -465,12 +465,12 @@ def _load_shards(config: RunConfig) -> ds.Shards:
 
 
 def _pick_engine(config: RunConfig) -> str:
-    """The engine label: "fast", the batched round, under engine = auto and
-    for every sparse run; "generic", the per-node reference oracle, under
-    engine = generic, and the label EXTRA's full-activation loop reports."""
-    fast_ok = config.comm == "sparse" or (
-        config.engine == "auto" and config.variant != "extra")
-    return "fast" if fast_ok else "generic"
+    """The engine label: "extra", EXTRA's own full-activation loop; "fast",
+    the batched round, under engine = auto and for every sparse run;
+    "generic", the per-node reference oracle, under engine = generic."""
+    if config.variant == "extra":
+        return "extra"
+    return "fast" if config.comm == "sparse" or config.engine == "auto" else "generic"
 
 
 def run(config: RunConfig) -> RunResult:
@@ -558,7 +558,7 @@ def run(config: RunConfig) -> RunResult:
 
     engine = _pick_engine(config)
 
-    if config.variant == "extra":
+    if engine == "extra":
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     else:
         # every engine's table starts anchored at Z0, and gives round 0's entry
@@ -602,22 +602,9 @@ def run(config: RunConfig) -> RunResult:
         manifest=manifest,
         lyapunov=tracker.history if tracker else None,
         trajectory=trajectory,
-        comm_per_round=net.round_values if net is not None else None,
+        comm_per_round=net.max_round_values.tolist() if net is not None else None,
         received_doubles=net.received_doubles() if net is not None else None,
     )
-
-
-def traffic_summary(net: Network) -> dict:
-    """Per-node doubles a sparse run received, by kind (delta payloads, the
-    initial-state flood, packet metadata), and the largest delta payload
-    any node received in one round."""
-    return {
-        "payload_values": net.value_doubles.tolist(),
-        "metadata": net.metadata_doubles.tolist(),
-        "initial_state": net.initial_doubles.tolist(),
-        "max_round_payload": max((int(v.max()) for v in net.round_values.values()),
-                                 default=0),
-    }
 
 
 def manifest_json(result: RunResult) -> str:

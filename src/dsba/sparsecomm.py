@@ -4,7 +4,8 @@ At round -1 every node floods its initial state, z_m^0 and its table mean
 phibar_m^0; from round 0 on nodes exchange only the per-round sparse table
 corrections (delta packets). Packets are relayed hop-by-hop along shortest
 paths. The relay is two things: the traffic accounting (`Network`), which
-counts every value and tag each node receives, and the receive rule
+counts every value and tag each node receives from the hop-distance matrix
+and a ring of the last D + 1 rounds sent, and the receive rule
 (`ObserverMemory`), which checks before every round that each node has heard
 every packet its mixing input reads. The round itself is the dense batched
 engine's, `BatchedTable.step` on Wt Z^t: every node is an *observer* that
@@ -28,8 +29,6 @@ o has not heard yet.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from .algorithms import BatchedTable
@@ -50,67 +49,81 @@ NO_PACKET = -2
 class Network:
     """Synchronous lossless packet fabric with per-node receive accounting.
     Packet (origin o, round s) reaches node u exactly once, at round
-    s + dist(o, u), so the hop-distance matrix fixes which origins each
-    destination hears from at each delay, and a round is delivered and
-    accounted by array operations. Round -1 is the initial-state flood.
-    Every packet carries its values, as many indices, and an origin and a
-    round tag; so the flood's indices over-count its metadata, which is not
-    part of a node's received doubles."""
+    s + dist(o, u), so the hop-distance matrix fixes all traffic, and the
+    state is the graph's, not the run's: a ring of the last D + 1 rounds'
+    per-origin value counts, D the largest distance. Round -1 is the
+    initial-state flood. Every packet carries its values, as many indices,
+    and an origin and a round tag; so the flood's indices over-count its
+    metadata, which is not part of a node's received doubles."""
 
     def __init__(self, distances: np.ndarray):
         self.n = len(distances)
-        # reach[k][o, u]: o's packets reach u after k + 1 rounds (one empty
-        # delay on a single node, so that sent rounds still retire)
-        self._reach = [distances == k for k in range(1, max(distances.max(), 1) + 1)]
+        # reach[k - 1][o, u]: o's packets reach u k rounds after they are sent
+        self._reach = [distances == k for k in range(1, distances.max() + 1)]
         # origin and round tags each destination receives per round and delay
         self._tags = [2 * reach.sum(axis=0) for reach in self._reach]
-        # round -> each send's per-origin value counts (more than one send
-        # of a round is a protocol error, raised when it is delivered)
-        self._sent: defaultdict[int, list[np.ndarray]] = defaultdict(list)
-        # round -> per-origin value counts of its packets still relayed
-        self._in_flight: dict[int, np.ndarray] = {}
+        # ring row s % (D + 1): round s's per-origin value counts, its round
+        # tag (None until a round is sent) and how often it was sent
+        ring = len(self._reach) + 1
+        self._counts = np.zeros((ring, self.n), dtype=np.int64)
+        self._round: list[int | None] = [None] * ring
+        self._sends = [0] * ring
         self.value_doubles = np.zeros(self.n, dtype=np.int64)
         self.metadata_doubles = np.zeros(self.n, dtype=np.int64)
         self.initial_doubles = np.zeros(self.n, dtype=np.int64)
-        # delta payload values delivered per round, for per-round bound checks
-        self.round_values: dict[int, np.ndarray] = {}
+        # each node's largest delta payload received in one round
+        self.max_round_values = np.zeros(self.n, dtype=np.int64)
 
     def broadcast(self, t: int, nnz: np.ndarray) -> None:
         """Send round t's packets, one per origin: origin m's carries nnz[m]
-        values and as many indices, plus its origin and round tags."""
-        self._sent[t].append(np.asarray(nnz, dtype=np.int64))
+        values and as many indices, plus its origin and round tags. A round
+        sent twice is a protocol error, raised when it is delivered."""
+        row = t % len(self._round)
+        self._sends[row] = self._sends[row] + 1 if self._round[row] == t else 1
+        self._round[row], self._counts[row] = t, nnz
 
     def deliver(self, t: int) -> np.ndarray:
         """Arrivals at the start of round t: entry [u, o] is the round s of
         the packet from origin o that reaches u now (s + dist(o, u) = t), or
-        `NO_PACKET`. Round t - 1's packets set off now. The flood's values
-        count to `initial_doubles`, the deltas' to `value_doubles`."""
-        sends = self._sent.pop(t - 1, [])
-        if len(sends) > 1:
+        `NO_PACKET`. Delay k reads round t - k from the ring if it was sent
+        (one gather over all delays was 35% slower at N = 10, 0-10% faster at
+        N = 50). Flood values count to `initial_doubles`, deltas' to
+        `value_doubles`."""
+        ring = len(self._round)
+        if self._round[(t - 1) % ring] == t - 1 and self._sends[(t - 1) % ring] > 1:
             raise ProtocolError(f"duplicate delivery of round {t - 1}")
-        if sends:
-            self._in_flight[t - 1] = sends[0]
         arrivals = np.full((self.n, self.n), NO_PACKET, dtype=np.int64)
         values = np.zeros(self.n, dtype=np.int64)
-        for delay, (reach, tags) in enumerate(zip(self._reach, self._tags), 1):
-            if (nnz := self._in_flight.get(t - delay)) is not None:
-                heard = nnz @ reach
-                if t - delay < 0:
+        for s, reach, tags in zip(range(t - 1, t - ring, -1), self._reach, self._tags):
+            if self._round[s % ring] == s:
+                heard = self._counts[s % ring] @ reach
+                if s < 0:
                     self.initial_doubles += heard
                 else:
                     values += heard
                 # a packet's metadata is its indices plus the two tags
                 self.metadata_doubles += heard + tags
-                arrivals[reach.T] = t - delay
-        self._in_flight.pop(t - len(self._reach), None)
-        self.round_values[t] = values
+                arrivals[reach.T] = s
         self.value_doubles += values
+        np.maximum(self.max_round_values, values, out=self.max_round_values)
         return arrivals
 
     def received_doubles(self) -> np.ndarray:
         """Per-node cumulative 64-bit values received: the initial-state
         flood plus the delta payloads."""
         return self.value_doubles + self.initial_doubles
+
+
+def traffic_summary(net: Network) -> dict:
+    """Per-node doubles a sparse run received, by kind (delta payloads, the
+    initial-state flood, packet metadata), and the largest delta payload
+    any node received in one round."""
+    return {
+        "payload_values": net.value_doubles.tolist(),
+        "metadata": net.metadata_doubles.tolist(),
+        "initial_state": net.initial_doubles.tolist(),
+        "max_round_payload": int(net.max_round_values.max()),
+    }
 
 
 class ObserverMemory:

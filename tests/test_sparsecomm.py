@@ -119,10 +119,23 @@ def test_sparse_payload_bounded_by_support():
     per_node, _ = _data(mix, d=20, q=5)
     max_nnz = max(s.nnz for shard in per_node for s in shard)
     rounds = 50
-    _, net = _run_sparse(mix, rounds, d=20, q=5, variant="dsba")
-    assert len(net.round_values) == rounds
-    for vals in net.round_values.values():
-        assert vals.max() <= mix.n * max_nnz
+    done = []
+    _, net = _run_sparse(mix, rounds, d=20, q=5, variant="dsba",
+                         on_round=lambda t, Z, table: done.append(t))
+    assert done == list(range(rounds))
+    assert net.max_round_values.max() <= mix.n * max_nnz
+
+
+def test_network_state_is_bounded_by_the_graph():
+    # the ring holds the last D + 1 rounds sent, so a 100x longer run leaves
+    # a network of the same size, with no per-round history
+    mix = build_mixing(make_adjacency("path", 5))
+    short, long = (vars(_run_sparse(mix, rounds, d=8, q=4, variant="dsba")[1])
+                   for rounds in (20, 2000))
+    assert short.keys() == long.keys()
+    for name, value in long.items():
+        assert not isinstance(value, dict), name
+        assert np.shape(value) == np.shape(short[name]), name
 
 
 def test_run_sparse_on_round_early_stop():
@@ -214,18 +227,21 @@ def test_observer_rejects_gap_and_repeat():
 
 
 class _Recording(Network):
-    """Keeps every round sent and every inbox delivered."""
+    """Keeps every round sent, every inbox delivered and the delta values
+    each round delivered to each node."""
 
     def __init__(self, distances):
         super().__init__(distances)
-        self.sent, self.arrivals = [], {}
+        self.sent, self.arrivals, self.values = [], {}, {}
 
     def broadcast(self, t, nnz):
         self.sent.append((t, np.array(nnz)))
         super().broadcast(t, nnz)
 
     def deliver(self, t):
+        before = self.value_doubles.copy()
         self.arrivals[t] = super().deliver(t)
+        self.values[t] = self.value_doubles - before
         return self.arrivals[t]
 
 
@@ -255,10 +271,11 @@ def _check_traffic_against_oracle(rounds, d=12):
                     metadata[u] += value_doubles + 2
                     arrivals[t][u].add((origin, s))
     for t, arr in net.arrivals.items():
-        assert np.array_equal(net.round_values[t], values[t])
+        assert np.array_equal(net.values[t], values[t])
         assert [{(o, r) for o, r in enumerate(row) if r != NO_PACKET}
                 for row in arr.tolist()] == arrivals[t]
     assert np.array_equal(net.value_doubles, sum(values.values()))
+    assert np.array_equal(net.max_round_values, np.max(list(values.values()), axis=0))
     assert np.array_equal(net.initial_doubles, initial)
     assert np.array_equal(net.metadata_doubles, metadata)
     assert np.array_equal(net.received_doubles(), net.value_doubles + initial)
