@@ -154,15 +154,27 @@ def default_lambda(shards: Shards) -> float:
 
 def shard_manifest(shards: Shards) -> dict:
     """Reproducibility record: per-shard sizes and content fingerprints
-    (the first 12 hex digits of a SHA-256 over the shard's samples)."""
-    digests = []
-    for shard in shards.per_node:
-        h = hashlib.sha256()
-        for s in shard:
-            h.update(np.array([s.label, s.nnz], dtype=np.float64).tobytes())
-            h.update(s.indices.astype(np.int64).tobytes())
-            h.update(s.values.astype(np.float64).tobytes())
-        digests.append({"size": len(shard), "fingerprint": h.hexdigest()[:12]})
+    (the first 12 hex digits of a SHA-256 over the shard's samples).
+
+    A shard's hashed bytes are, per sample, 8-byte words: label and nnz as
+    float64, the indices as int64, then the values as float64. Every
+    shard's words are laid out in one array, each word's kind (0 header,
+    1 index, 2 value) marked by run lengths, and each shard is hashed in
+    one update."""
+    rows = [s for shard in shards.per_node for s in shard]
+    nnz = np.array([s.nnz for s in rows], dtype=np.int64)
+    size = 2 + 2 * nnz
+    start = np.cumsum(size) - size  # each sample's first word
+    kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(rows)),
+                     np.column_stack([np.full(len(rows), 2), nnz, nnz]).ravel())
+    words = np.empty(len(kind))
+    words[start] = [s.label for s in rows]
+    words[start + 1] = nnz
+    words.view(np.int64)[kind == 1] = np.concatenate([s.indices for s in rows])
+    words[kind == 2] = np.concatenate([s.values for s in rows])
+    bounds = np.append(start, len(words))[np.cumsum([0] + [len(sh) for sh in shards.per_node])]
+    digests = [{"size": len(shard), "fingerprint": hashlib.sha256(words[a:b]).hexdigest()[:12]}
+               for shard, a, b in zip(shards.per_node, bounds[:-1], bounds[1:])]
     return {
         "n_nodes": shards.n_nodes,
         "d": shards.d,

@@ -183,10 +183,12 @@ class SampleMatrix:
 
         B_i = c_i x_i, plus for auc three outputs at coordinates d..d+2
         that read (a, b, theta) from `tail`, given per row (Q x 3) or shared
-        (3,). Returns c and the auc tail block (Q x 3), else None. Counts
-        one component evaluation per row.
+        (3,). Returns c and the auc tail block (Q x 3), else None. A block
+        of margins (k x Q), with auc tails shaped (k x 1 x 3), evaluates k
+        points at once and returns blocks with a leading axis k. Counts one
+        component evaluation per margin.
         """
-        COUNTERS["component_evals"] += len(m)
+        COUNTERS["component_evals"] += m.size
         y = self.y if rows is None else self.y[rows]
         if self.family == "ridge":
             return m - y, None
@@ -194,14 +196,14 @@ class SampleMatrix:
             return -y * expit(-(y * m)), None
         p = self.p
         c = self.auc_c if rows is None else self.auc_c[rows]
-        slot = self.auc_slot if rows is None else self.auc_slot[rows]
-        k = np.arange(len(m))
-        tail = np.broadcast_to(tail, (len(m), 3))
-        o, theta = tail[k, slot], tail[:, 2]
+        pos = (self.auc_slot if rows is None else self.auc_slot[rows]) == 0
+        o, theta = np.where(pos, tail[..., 0], tail[..., 1]), tail[..., 2]
         coef = c * ((m - o) - y * (1 + theta))
-        tails = np.zeros((len(m), 3))
-        tails[k, slot] = -c * (m - o)
-        tails[:, 2] = 2.0 * p * (1 - p) * theta + y * c * m
+        tails = np.zeros(m.shape + (3,))
+        out = -c * (m - o)
+        tails[..., 0] = np.where(pos, out, 0.0)
+        tails[..., 1] = np.where(pos, 0.0, out)
+        tails[..., 2] = 2.0 * p * (1 - p) * theta + y * c * m
         return coef, tails
 
 
@@ -333,6 +335,13 @@ def resolve_regularized(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.n
     return wrap_l2_resolvent(lambda a, z: resolvent(op, a, z), op.lam, alpha, psi)
 
 
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every row's dot a_i . b_i, bitwise the 1-D `a_i @ b_i` (and so
+    `np.linalg.norm`'s sqrt(a . a)): numpy sends a stack of 1 x n by
+    n x 1 products to that same dot kernel. einsum sums in another order."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
 def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
     """Every row's Lipschitz constant ||B_i'||_2 + lam, in one array pass.
 
@@ -341,9 +350,14 @@ def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
     its norm is the spectral norm of a 3x3 matrix in that basis, taken for
     all rows in one batched norm.
     """
-    # one dot per row slice, as OperatorSpec.na2: bitwise its closed forms
-    data, ptr = samples.X.data, samples.X.indptr.tolist()
-    na2 = np.array([data[a:b] @ data[a:b] for a, b in zip(ptr[:-1], ptr[1:])])
+    # the dot of OperatorSpec.na2, gathered by row length: bitwise its closed forms
+    data, ptr = samples.X.data, samples.X.indptr
+    nnz = np.diff(ptr)
+    na2 = np.empty(len(nnz))
+    for n in np.unique(nnz):
+        rows = np.flatnonzero(nnz == n)
+        V = data[ptr[rows, None] + np.arange(n)]
+        na2[rows] = row_dots(V, V)
     if samples.family == "ridge":
         return na2 + lam
     if samples.family == "logistic":

@@ -23,7 +23,7 @@ from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
                          extra_round, local_mean_operator, make_node,
                          step_size_bound)
 from .operators import (COUNTERS, FAMILIES, OperatorSpec, SampleMatrix, eval_component,
-                        lipschitz_bound, make_operator, reset_counters)
+                        lipschitz_bound, make_operator, reset_counters, row_dots)
 from .sparse import SparseVec
 from .sparsecomm import Network, run_sparse, traffic_summary
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
@@ -52,33 +52,50 @@ class SyntheticSpec:
     margin: float = 0.0          # classification: reject |cos(a, w*)| < margin
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("ridge", "classification"):
+            raise ConfigError(f"unknown synthetic kind {self.kind!r}")
+        if not 1 <= (self.nnz or self.d) <= self.d:
+            raise ConfigError("nnz must be in [1, d]")
+        # rows and w* are unit vectors, so |cos| <= 1 and margin >= 1 rejects every row
+        if not 0.0 <= self.margin < 1.0:
+            raise ConfigError("margin must be in [0, 1)")
+
 
 def synthetic_samples(spec: SyntheticSpec) -> list[ds.Sample]:
-    if spec.kind not in ("ridge", "classification"):
-        raise ConfigError(f"unknown synthetic kind {spec.kind!r}")
+    """Rows drawn, normalised and scored as blocks, in the rng order of one
+    row at a time: a row's indices (sparse rows), its normals, then its
+    noise (ridge). Classification draws blocks until `n_samples` rows pass
+    the margin; a rejected row consumes its draws and no line number."""
     nnz = spec.nnz or spec.d
-    if not (1 <= nnz <= spec.d):
-        raise ConfigError("nnz must be in [1, d]")
+    ridge = spec.kind == "ridge"
     rng = np.random.default_rng(spec.seed)
     w = rng.normal(size=spec.d)
     w /= np.linalg.norm(w)
-    samples: list[ds.Sample] = []
-    while len(samples) < spec.n_samples:
+    blocks, need = [], spec.n_samples
+    while need:
         if nnz < spec.d:
-            idx = np.sort(rng.choice(spec.d, size=nnz, replace=False)).astype(np.int64)
+            IDX = np.empty((need, nnz), dtype=np.int64)
+            B = np.empty((need, nnz + ridge))
+            for r in range(need):
+                IDX[r] = np.sort(rng.choice(spec.d, size=nnz, replace=False))
+                B[r] = rng.normal(size=nnz + ridge)
         else:
-            idx = np.arange(spec.d, dtype=np.int64)
-        val = rng.normal(size=nnz)
-        val /= np.linalg.norm(val)
-        score = float(val @ w[idx])
-        if spec.kind == "ridge":
-            y = score + spec.noise * rng.normal()
+            IDX = np.broadcast_to(np.arange(spec.d, dtype=np.int64), (need, spec.d))
+            B = rng.normal(size=(need, nnz + ridge))
+        V = B[:, :nnz]
+        V = V / np.sqrt(row_dots(V, V))[:, None]
+        score = row_dots(V, w[IDX])
+        if ridge:
+            y = score + spec.noise * B[:, nnz]
         else:
-            if abs(score) < spec.margin:
-                continue
-            y = 1.0 if score > 0 else -1.0
-        samples.append(ds.Sample(idx, val, float(y), len(samples)))
-    return samples
+            keep = np.flatnonzero(np.abs(score) >= spec.margin)
+            IDX, V, y = IDX[keep], V[keep], np.where(score[keep] > 0, 1.0, -1.0)
+        blocks.append((IDX, V, y))
+        need -= len(y)
+    IDX, V, y = (np.concatenate(b) for b in zip(*blocks))
+    return [ds.Sample(i, v, label, k)
+            for k, (i, v, label) in enumerate(zip(IDX, V, y.tolist()))]
 
 
 @dataclass
@@ -106,17 +123,17 @@ class Problem:
 def build_problem(shards: ds.Shards, family: str, lam: float) -> Problem:
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
-    if family in ("logistic", "auc"):
-        for shard in shards.per_node:
-            for s in shard:
-                if s.label not in (-1.0, 1.0):
-                    raise ConfigError(f"{family} needs labels in {{-1,+1}} "
-                                      f"(line {s.line_no})")
     p = shards.p if family == "auc" else None
+    samples = SampleMatrix.from_shards(family, shards.per_node, shards.d, p)
+    if family in ("logistic", "auc"):
+        bad = np.flatnonzero(np.abs(samples.y) != 1.0)
+        if len(bad):
+            n = samples.row_node[bad[0]]
+            s = shards.per_node[n][bad[0] - samples.starts[n]]
+            raise ConfigError(f"{family} needs labels in {{-1,+1}} (line {s.line_no})")
     if family == "auc" and not (0.0 < shards.p < 1.0):
         raise ConfigError("auc needs both classes present")
     dim = shards.d + 3 if family == "auc" else shards.d
-    samples = SampleMatrix.from_shards(family, shards.per_node, shards.d, p)
     return Problem(family, shards, lam, dim, samples)
 
 
@@ -124,16 +141,18 @@ def global_operator(problem: Problem):
     """The root-finding target: sum_n (1/q_n) sum_i B_{n,i}(z) + N*lam*z.
 
     Evaluated on the stacked sample matrix, each row weighted by its node's
-    1/q_n."""
+    1/q_n. A (dim, k) block z gives F at each of its k columns, with one
+    product by X and one by its transpose for the whole block."""
     S, N = problem.samples, problem.n_nodes
 
     def apply(z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=np.float64)
-        coef, tails = S.row_terms(S.X @ z[:S.d], z[S.d:])
+        # row_terms takes one row of margins and one auc tail per column
+        coef, tails = S.row_terms((S.X @ z[:S.d]).T, z[S.d:].T[..., None, :])
         out = (N * problem.lam) * z
-        out[:S.d] += S.XT @ (S.weight * coef)
+        out[:S.d] += S.XT @ (S.weight * coef).T
         if tails is not None:
-            out[S.d:] += S.weight @ tails
+            out[S.d:] += (S.weight @ tails).T
         return out
 
     return apply
@@ -143,21 +162,16 @@ def reference_solution(problem: Problem, tol: float = 1e-12,
                        max_iters: int = 100) -> tuple[np.ndarray, float]:
     """High-accuracy root of the global operator plus residual certificate.
 
-    Ridge and auc operators are affine, so the exact root comes from column
-    probing and a single linear solve; logistic uses damped Newton with the
-    Jacobian X' diag(w sigma(1 - sigma)) X + N lam I.
+    Ridge and auc operators are affine, so the exact root comes from
+    probing F at 0 and at every unit vector, all as one block [0 | I], and
+    a single linear solve; logistic uses damped Newton with the Jacobian
+    X' diag(w sigma(1 - sigma)) X + N lam I.
     """
     dim = problem.dim
     F = global_operator(problem)
     if problem.family in ("ridge", "auc"):
-        F0 = F(np.zeros(dim))
-        M = np.empty((dim, dim))
-        e = np.zeros(dim)
-        for j in range(dim):
-            e[j] = 1.0
-            M[:, j] = F(e) - F0
-            e[j] = 0.0
-        z = np.linalg.solve(M, -F0)
+        FE = F(np.eye(dim, dim + 1, 1))
+        z = np.linalg.solve(FE[:, 1:] - FE[:, :1], -FE[:, 0])
     else:
         N, S = problem.n_nodes, problem.samples
         z = np.zeros(dim)

@@ -93,23 +93,20 @@ def check_adjacency(A: np.ndarray) -> np.ndarray:
 
 
 def bfs_distances(A: np.ndarray) -> np.ndarray:
-    """All-pairs hop distances; unreachable pairs get -1."""
-    n = len(A)
-    nbrs = [np.flatnonzero(A[i]) for i in range(n)]
-    D = -np.ones((n, n), dtype=np.int64)
-    for s in range(n):
-        D[s, s] = 0
-        frontier = [s]
-        dist = 0
-        while frontier:
-            dist += 1
-            nxt = []
-            for u in frontier:
-                for v in nbrs[u]:
-                    if D[s, v] < 0:
-                        D[s, v] = dist
-                        nxt.append(v)
-            frontier = nxt
+    """All-pairs hop distances; unreachable pairs get -1.
+
+    One breadth-first search from every node at once: row s of the
+    frontier holds the nodes first reached from s at the current depth."""
+    A = np.asarray(A) != 0
+    frontier = np.eye(len(A), dtype=bool)
+    reached = frontier.copy()
+    D = -np.ones(A.shape, dtype=np.int64)
+    dist = 0
+    while frontier.any():
+        D[frontier] = dist
+        dist += 1
+        frontier = (frontier @ A) & ~reached
+        reached |= frontier
     return D
 
 
@@ -148,7 +145,8 @@ def build_mixing(A, tau: float | None = None) -> MixingMatrix:
     if len(A) == 1:
         one = np.ones((1, 1))
         return MixingMatrix(A, one.copy(), one.copy(), 1.0, np.zeros((1, 1), dtype=np.int64))
-    if not is_connected(A):
+    distances = bfs_distances(A)
+    if (distances < 0).any():
         raise TopologyError("graph must be connected")
     L = laplacian(A)
     lmax = float(np.linalg.eigvalsh(L)[-1])
@@ -163,7 +161,7 @@ def build_mixing(A, tau: float | None = None) -> MixingMatrix:
     if len(nonzero) != len(A) - 1:
         raise TopologyError("(I - W)/2 must have a simple zero eigenvalue")
     gamma = float(nonzero[0])
-    return MixingMatrix(A, W, Wt, gamma, bfs_distances(A), tau=float(tau))
+    return MixingMatrix(A, W, Wt, gamma, distances, tau=float(tau))
 
 
 def check_mixing_conditions(mix: MixingMatrix, tol: float = 1e-10) -> dict:

@@ -194,6 +194,19 @@ def test_malformed_ini_is_config_error(tmp_path, capsys, old, new):
     assert capsys.readouterr().err.startswith("configuration error:")
 
 
+def test_margin_of_one_is_config_error_before_any_run(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("a margin of 1 must be refused before the run starts")
+
+    monkeypatch.setattr(dsba.cli, "run", no_run)
+    path = tmp_path / "margin.ini"
+    path.write_text(FAST_INI.replace("synthetic = ridge", "synthetic = classification\nmargin = 1")
+                    .replace("family = ridge", "family = logistic"))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "margin" in capsys.readouterr().err
+
+
 def test_operator_error_during_run_is_runtime_error(tmp_path, ini, monkeypatch):
     def failing_run(config):
         raise OperatorError("dimension mismatch")

@@ -54,6 +54,54 @@ def test_synthetic_rejects_bad_kind():
         synthetic_samples(_spec(kind="poisson"))
 
 
+@pytest.mark.parametrize("margin", [1.0, 1.5, -0.1, float("nan")])
+def test_synthetic_rejects_margin_outside_unit_interval(margin):
+    # unit rows and w* give |cos| <= 1: margin >= 1 would reject every row
+    # forever, so the spec itself refuses it and no row is ever drawn
+    with pytest.raises(ConfigError, match="margin"):
+        SyntheticSpec(kind="classification", d=8, n_samples=5, margin=margin)
+
+
+def _per_row_samples(spec):
+    """The generator one row at a time: the reference for the block draws."""
+    nnz = spec.nnz or spec.d
+    rng = np.random.default_rng(spec.seed)
+    w = rng.normal(size=spec.d)
+    w /= np.linalg.norm(w)
+    samples = []
+    while len(samples) < spec.n_samples:
+        if nnz < spec.d:
+            idx = np.sort(rng.choice(spec.d, size=nnz, replace=False)).astype(np.int64)
+        else:
+            idx = np.arange(spec.d, dtype=np.int64)
+        val = rng.normal(size=nnz)
+        val /= np.linalg.norm(val)
+        score = float(val @ w[idx])
+        if spec.kind == "ridge":
+            y = score + spec.noise * rng.normal()
+        else:
+            if abs(score) < spec.margin:
+                continue
+            y = 1.0 if score > 0 else -1.0
+        samples.append((idx, val, float(y), len(samples)))
+    return samples
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.2])
+@pytest.mark.parametrize("nnz", [None, 3])
+@pytest.mark.parametrize("kind", ["ridge", "classification"])
+def test_block_generator_matches_per_row_draws_bitwise(kind, nnz, margin):
+    for seed in range(20):
+        spec = _spec(kind=kind, nnz=nnz, margin=margin, seed=seed)
+        got = synthetic_samples(spec)
+        want = _per_row_samples(spec)
+        assert len(got) == len(want) == spec.n_samples
+        for s, (idx, val, label, line_no) in zip(got, want):
+            assert s.indices.dtype == np.int64 and np.array_equal(s.indices, idx)
+            assert np.array_equal(s.values, val)
+            assert s.label == label and s.line_no == line_no
+
+
 def test_reference_solution_is_root_of_global_operator():
     for family in ("ridge", "logistic"):
         spec = _spec(kind="ridge" if family == "ridge" else "classification",
@@ -63,6 +111,37 @@ def test_reference_solution_is_root_of_global_operator():
         z_star, resid = reference_solution(problem)
         assert resid < 1e-10
         assert np.linalg.norm(global_operator(problem)(z_star)) < 1e-9
+
+
+def _per_column_probe(problem):
+    """F at 0 and M = [F(e_j) - F(0)], one operator call per column: the
+    reference for the block probe."""
+    F = global_operator(problem)
+    F0 = F(np.zeros(problem.dim))
+    M = np.empty((problem.dim, problem.dim))
+    e = np.zeros(problem.dim)
+    for j in range(problem.dim):
+        e[j] = 1.0
+        M[:, j] = F(e) - F0
+        e[j] = 0.0
+    return M, F0
+
+
+@pytest.mark.parametrize("family,nnz", [("ridge", None), ("ridge", 3), ("auc", None),
+                                        ("auc", 3)])
+def test_block_probe_matches_per_column_probe_bitwise(family, nnz):
+    spec = _spec(kind="ridge" if family == "ridge" else "classification", nnz=nnz)
+    problem = build_problem(partition(synthetic_samples(spec), 4, seed=0, d=8),
+                            family, lam=0.1)
+    M, F0 = _per_column_probe(problem)
+    FE = global_operator(problem)(np.eye(problem.dim, problem.dim + 1, 1))
+    assert np.array_equal(FE[:, 0], F0)
+    assert np.array_equal(FE[:, 1:] - FE[:, :1], M)
+    reset_counters()
+    z, _ = reference_solution(problem)
+    assert np.array_equal(z, np.linalg.solve(M, -F0))
+    # Q per probed column, dim + 1 of them, and Q for the residual
+    assert COUNTERS["component_evals"] == spec.n_samples * (problem.dim + 2)
 
 
 def test_objective_minimized_at_reference():
@@ -108,6 +187,13 @@ def test_build_problem_rejects_bad_labels():
     shards = partition(samples, 2, seed=0, d=8)
     with pytest.raises(ConfigError):
         build_problem(shards, "logistic", lam=0.1)
+    # the error names the first bad row in node order
+    shards = partition(synthetic_samples(_spec(kind="classification")), 4, seed=0, d=8)
+    shards.per_node[3][0].label = 2.0
+    shards.per_node[2][3].label = 0.5
+    for family in ("logistic", "auc"):
+        with pytest.raises(ConfigError, match=f"line {shards.per_node[2][3].line_no}\\)"):
+            build_problem(shards, family, lam=0.1)
 
 
 def test_build_problem_rejects_what_operators_reject():

@@ -57,6 +57,38 @@ def test_bfs_distances_path():
     assert np.array_equal(D, D.T)
 
 
+def _queue_bfs(A):
+    """All-pairs hop distances, one queue BFS per source: the reference."""
+    n = len(A)
+    D = -np.ones((n, n), dtype=np.int64)
+    for s in range(n):
+        D[s, s] = 0
+        queue = [s]
+        for u in queue:
+            for v in np.flatnonzero(A[u]):
+                if D[s, v] < 0:
+                    D[s, v] = D[s, u] + 1
+                    queue.append(v)
+    return D
+
+
+def test_bfs_distances_match_queue_bfs():
+    graphs = [make_adjacency(kind, n) for kind, n in
+              [("path", 7), ("ring", 8), ("star", 6), ("complete", 5), ("path", 1)]]
+    graphs += [make_adjacency("erdos_renyi", n, p=p, seed=seed)
+               for n, p, seed in [(10, 0.4, 0), (12, 0.2, 3), (20, 0.15, 7)]]
+    split = np.zeros((6, 6))
+    for i, j in [(0, 1), (1, 2), (3, 4)]:
+        split[i, j] = split[j, i] = 1.0
+    for A in graphs + [split]:
+        D = bfs_distances(A)
+        assert D.dtype == np.int64
+        assert np.array_equal(D, _queue_bfs(A))
+    D = bfs_distances(split)
+    assert D[0, 2] == 2 and D[0, 3] == -1 and D[3, 5] == -1 and D[5, 5] == 0
+    assert not is_connected(split)
+
+
 def test_laplacian_rows_sum_to_zero():
     A = make_adjacency("erdos_renyi", 8, p=0.5, seed=1)
     L = laplacian(A)
