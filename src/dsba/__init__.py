@@ -7,7 +7,7 @@ mode and explicit/full-batch baselines.
 
 from .algorithms import (BatchedTable, NodeState, PhiTable, dsa_node_step,
                          dsba_node_step, extra_round, make_node, step_size_bound)
-from .dataset import (Sample, Shards, default_lambda, normalize_rows,
+from .dataset import (Rows, Sample, Shards, default_lambda, normalize_rows,
                       parse_libsvm, partition)
 from .operators import (OperatorSpec, eval_component, eval_operator,
                         lipschitz_bound, make_operator, resolvent,

@@ -185,7 +185,7 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
             val = rng.normal(size=nnz)
             val /= np.linalg.norm(val)
             label = float(rng.choice([-1.0, 1.0])) if family != "ridge" else float(rng.normal())
-            op = make_operator(family, ds.Sample(idx, val, label, 0),
+            op = make_operator(family, ds.Sample(idx, val, label),
                                float(rng.uniform(0, 0.3)), d,
                                float(rng.uniform(0.2, 0.8)) if family == "auc" else None)
             alpha = float(rng.uniform(1e-3, 5.0))
@@ -205,7 +205,7 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
             val = rng.normal(size=d)
             val /= np.linalg.norm(val)
             ops.append(make_operator("ridge", ds.Sample(np.arange(d), val,
-                                                        float(rng.normal()), 0), 0.1, d))
+                                                        float(rng.normal())), 0.1, d))
         z0 = rng.normal(size=d)
         table = PhiTable(ops, z0)
         z = rng.normal(size=d)
@@ -249,11 +249,10 @@ def cmd_validate(args) -> int:
 
 def cmd_prep(args) -> int:
     out = _out_dir(args)
-    samples, d = ds.read_libsvm(args.dataset)
-    samples = ds.normalize_rows(samples)
-    shards = ds.partition(samples, args.nodes, args.seed, d=d)
-    ds.write_shard_manifest(shards, out / "shards.json")
-    print(f"{shards.Q} samples, d={d}, {args.nodes} shards (q_min={shards.q_min}), "
+    shards = ds.partition(ds.normalize_rows(ds.read_libsvm(args.dataset)), args.nodes,
+                          args.seed)
+    (out / "shards.json").write_text(json.dumps(ds.shard_manifest(shards), indent=2))
+    print(f"{shards.Q} samples, d={shards.d}, {args.nodes} shards (q_min={shards.q_min}), "
           f"p={shards.p:.4f}, rho={shards.rho:.4f}, lambda=1/(10Q)={1/(10*shards.Q):.3e}")
     print(f"wrote {out/'shards.json'}")
     return EXIT_OK

@@ -1,5 +1,7 @@
 """LIBSVM-style data handling: parsing, row normalization, node partitioning.
 
+A dataset is one array form, `Rows`: the samples as CSR rows with int64
+indices, plus labels and source lines; `Shards` is that form in node order.
 Feature indices in the input are 1-based and strictly increasing per line;
 internally everything is 0-based.
 """
@@ -8,10 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 
 class DatasetError(ValueError):
@@ -20,53 +23,95 @@ class DatasetError(ValueError):
 
 @dataclass
 class Sample:
+    """One row as its own arrays: the view a per-sample operator takes."""
+
     indices: np.ndarray
     values: np.ndarray
     label: float
-    line_no: int = 0
-
-    @property
-    def nnz(self) -> int:
-        return int(len(self.indices))
 
 
 @dataclass
-class Shards:
-    per_node: list
-    d: int
-    q_min: int
-    p: float
-    Q: int
-    rho: float
+class Rows:
+    """The dataset: one CSR row per sample, with its label and line."""
+
+    X: sp.csr_array      # Q x d
+    y: np.ndarray        # labels
+    line_no: np.ndarray  # each row's source line (generated rows: draw order)
+
+    @property
+    def Q(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+
+@dataclass
+class Shards(Rows):
+    """Rows in node order: node n holds the next `sizes[n]` rows. `p` is
+    the positive-class ratio and `rho` the largest row density nnz/d."""
+
+    sizes: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return len(self.per_node)
+        return len(self.sizes)
+
+    @property
+    def q_min(self) -> int:
+        return int(self.sizes.min())
+
+    @property
+    def p(self) -> float:
+        return int(np.count_nonzero(self.y > 0)) / self.Q
+
+    @property
+    def rho(self) -> float:
+        return int(np.diff(self.X.indptr).max()) / self.d if self.d > 0 else 0.0
 
 
-def parse_libsvm(stream):
-    """Parse `label idx:val ...` lines. Returns (samples, d).
+def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Every row's dot a_i . b_i, bitwise the 1-D `a_i @ b_i` (and so
+    `np.linalg.norm`'s sqrt(a . a)): numpy sends a stack of 1 x n by
+    n x 1 products to that same dot kernel. einsum sums in another order."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
 
-    Accepts a file object, bytes, or str. Blank lines are skipped, malformed
-    lines raise DatasetError with the offending line number.
+
+def row_sq_norms(X: sp.csr_array) -> np.ndarray:
+    """Every CSR row's squared norm, bitwise its values' `v @ v`: rows of
+    one length are gathered into a block and go through `row_dots`."""
+    data, ptr, nnz = X.data, X.indptr, np.diff(X.indptr)
+    out = np.empty(len(nnz))
+    for n in np.unique(nnz):
+        rows = np.flatnonzero(nnz == n)
+        V = data[ptr[rows, None] + np.arange(n)]
+        out[rows] = row_dots(V, V)
+    return out
+
+
+def parse_libsvm(stream) -> Rows:
+    """Parse `label idx:val ...` lines, d being the largest index.
+
+    Accepts a file object, bytes, or str. Blank lines are skipped; malformed
+    lines and non-finite labels or values raise DatasetError with the
+    offending line number.
     """
     if isinstance(stream, bytes):
         stream = io.StringIO(stream.decode("utf-8"))
     elif isinstance(stream, str):
         stream = io.StringIO(stream)
-    samples = []
-    d = 0
+    labels, line_nos, indptr, indices, values = [], [], [0], [], []
     for line_no, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             label = float(parts[0])
         except ValueError:
             raise DatasetError(f"line {line_no}: non-numeric label {parts[0]!r}")
-        idx = []
-        val = []
+        if not math.isfinite(label):
+            raise DatasetError(f"line {line_no}: non-finite label {parts[0]!r}")
         prev = 0
         for tok in parts[1:]:
             try:
@@ -79,19 +124,21 @@ def parse_libsvm(stream):
                 raise DatasetError(f"line {line_no}: index {i} < 1")
             if i <= prev:
                 raise DatasetError(f"line {line_no}: non-increasing index {i}")
+            if not math.isfinite(v):
+                raise DatasetError(f"line {line_no}: non-finite value {v_s!r}")
             prev = i
-            idx.append(i - 1)
-            val.append(v)
-        samples.append(
-            Sample(np.asarray(idx, dtype=np.int64), np.asarray(val), label, line_no)
-        )
-        if idx:
-            d = max(d, idx[-1] + 1)
-    return samples, d
+            indices.append(i - 1)
+            values.append(v)
+        labels.append(label)
+        line_nos.append(line_no)
+        indptr.append(len(indices))
+    X = sp.csr_array((np.array(values), np.array(indices, dtype=np.int64), np.array(indptr)),
+                     shape=(len(labels), max(indices, default=-1) + 1))
+    return Rows(X, np.array(labels), np.array(line_nos, dtype=np.int64))
 
 
-def read_libsvm(path):
-    """Parse the UTF-8 LIBSVM file at `path`. Returns (samples, d).
+def read_libsvm(path) -> Rows:
+    """Parse the UTF-8 LIBSVM file at `path`.
 
     A file that cannot be opened or is not UTF-8 text raises DatasetError
     naming the path, like a malformed line does.
@@ -105,50 +152,41 @@ def read_libsvm(path):
         raise DatasetError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def normalize_rows(samples):
-    """Scale every sample to unit l2 norm, dropping explicit zero entries.
+def normalize_rows(rows: Rows) -> Rows:
+    """Divide every row by its l2 norm (bitwise `np.linalg.norm`), dropping
+    explicit zero entries.
 
     All-zero samples are rejected (they carry no information and would break
     the unit-norm invariant downstream).
     """
-    out = []
-    for s in samples:
-        keep = s.values != 0.0
-        idx = s.indices[keep]
-        val = s.values[keep]
-        nrm = float(np.linalg.norm(val))
-        if nrm == 0.0:
-            raise DatasetError(f"line {s.line_no}: all-zero sample cannot be normalized")
-        out.append(Sample(idx, val / nrm, s.label, s.line_no))
-    return out
+    X = rows.X.copy()
+    X.eliminate_zeros()
+    nrm = np.sqrt(row_sq_norms(X))
+    zero = np.flatnonzero(nrm == 0.0)
+    if len(zero):
+        raise DatasetError(f"line {rows.line_no[zero[0]]}: all-zero sample cannot be normalized")
+    X.data /= np.repeat(nrm, np.diff(X.indptr))
+    return Rows(X, rows.y, rows.line_no)
 
 
-def partition(samples, n_nodes: int, seed: int, d: int | None = None) -> Shards:
-    """Seeded shuffle followed by round-robin assignment.
+def partition(rows: Rows, n_nodes: int, seed: int) -> Shards:
+    """Seeded shuffle followed by round-robin assignment: node n gets
+    shuffled positions n, n + N, n + 2N, ...
 
     Shard sizes differ by at most one, remainders landing on low-index nodes.
-    Global statistics (p, Q, rho) are computed before the split.
     """
-    if len(samples) < n_nodes:
-        raise DatasetError(f"{len(samples)} samples cannot fill {n_nodes} nodes")
-    if d is None:
-        d = max((int(s.indices[-1]) + 1 for s in samples if s.nnz), default=0)
-    Q = len(samples)
-    pos = sum(1 for s in samples if s.label > 0)
-    p = pos / Q
-    rho = max(s.nnz / d for s in samples) if d > 0 else 0.0
-    perm = np.random.default_rng(seed).permutation(Q)
-    per_node = [[] for _ in range(n_nodes)]
-    for k, j in enumerate(perm):
-        per_node[k % n_nodes].append(samples[j])
-    q_min = min(len(shard) for shard in per_node)
-    return Shards(per_node, d, q_min, p, Q, rho)
+    if n_nodes < 1:
+        raise DatasetError(f"node count must be positive, got {n_nodes}")
+    if rows.Q < n_nodes:
+        raise DatasetError(f"{rows.Q} samples cannot fill {n_nodes} nodes")
+    perm = np.random.default_rng(seed).permutation(rows.Q)
+    order = np.concatenate([perm[n::n_nodes] for n in range(n_nodes)])
+    return Shards(rows.X[order], rows.y[order], rows.line_no[order],
+                  np.bincount(np.arange(rows.Q) % n_nodes))
 
 
 def default_lambda(shards: Shards) -> float:
     """Regularization level 1/(10 Q) with Q the total sample count."""
-    if shards.Q <= 0:
-        raise DatasetError("empty dataset")
     return 1.0 / (10.0 * shards.Q)
 
 
@@ -158,23 +196,20 @@ def shard_manifest(shards: Shards) -> dict:
 
     A shard's hashed bytes are, per sample, 8-byte words: label and nnz as
     float64, the indices as int64, then the values as float64. Every
-    shard's words are laid out in one array, each word's kind (0 header,
-    1 index, 2 value) marked by run lengths, and each shard is hashed in
+    shard's words are laid out in one array and each shard is hashed in
     one update."""
-    rows = [s for shard in shards.per_node for s in shard]
-    nnz = np.array([s.nnz for s in rows], dtype=np.int64)
-    size = 2 + 2 * nnz
-    start = np.cumsum(size) - size  # each sample's first word
-    kind = np.repeat(np.tile(np.arange(3, dtype=np.int8), len(rows)),
-                     np.column_stack([np.full(len(rows), 2), nnz, nnz]).ravel())
-    words = np.empty(len(kind))
-    words[start] = [s.label for s in rows]
+    X, Q = shards.X, shards.Q
+    ptr, nnz = X.indptr, np.diff(X.indptr)
+    start = 2 * (np.arange(Q) + ptr[:-1])  # each sample's first word
+    words = np.empty(2 * (Q + X.nnz))
+    words[start] = shards.y
     words[start + 1] = nnz
-    words.view(np.int64)[kind == 1] = np.concatenate([s.indices for s in rows])
-    words[kind == 2] = np.concatenate([s.values for s in rows])
-    bounds = np.append(start, len(words))[np.cumsum([0] + [len(sh) for sh in shards.per_node])]
-    digests = [{"size": len(shard), "fingerprint": hashlib.sha256(words[a:b]).hexdigest()[:12]}
-               for shard, a, b in zip(shards.per_node, bounds[:-1], bounds[1:])]
+    at = np.arange(X.nnz) + np.repeat(start + 2 - ptr[:-1], nnz)  # index words
+    words.view(np.int64)[at] = X.indices
+    words[at + np.repeat(nnz, nnz)] = X.data
+    bounds = np.append(start, len(words))[np.concatenate([[0], np.cumsum(shards.sizes)])]
+    digests = [{"size": int(size), "fingerprint": hashlib.sha256(words[a:b]).hexdigest()[:12]}
+               for size, a, b in zip(shards.sizes, bounds[:-1], bounds[1:])]
     return {
         "n_nodes": shards.n_nodes,
         "d": shards.d,
@@ -184,8 +219,3 @@ def shard_manifest(shards: Shards) -> dict:
         "rho": shards.rho,
         "shards": digests,
     }
-
-
-def write_shard_manifest(shards: Shards, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(shard_manifest(shards), fh, indent=2)

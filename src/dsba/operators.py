@@ -15,10 +15,10 @@ The l2 level `lam` is never baked into the family resolvents; it is applied
 through the rescaling identity J_{alpha(B+lam I)}(z) = J_{rho alpha B}(rho z)
 with rho = 1/(1 + lam*alpha), so the closed forms above stay exact.
 
-`SampleMatrix` holds all samples of a problem in one CSR matrix, the only
-data a run's set-up builds; it evaluates every component at once, and
-`lipschitz_bound` reads every row's bound off it. The per-sample
-`eval_component` is its tested reference and the per-node engine's path.
+`SampleMatrix` wraps the CSR rows of a problem's shards and evaluates every
+component at once; `lipschitz_bound` reads every row's bound off it. The
+per-sample `eval_component`, on a one-row `Sample`, is its tested reference
+and the per-node engine's path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .dataset import Sample
+from .dataset import Sample, Shards, row_sq_norms
 from .sparse import SparseVec
 
 FAMILIES = ("ridge", "logistic", "auc")
@@ -155,22 +155,15 @@ class SampleMatrix:
     auc_slot: np.ndarray | None = None
 
     @classmethod
-    def from_shards(cls, family: str, per_node: list[list[Sample]], d: int,
+    def from_shards(cls, family: str, shards: Shards,
                     p: float | None = None) -> "SampleMatrix":
-        rows = [s for shard in per_node for s in shard]
-        sizes = np.array([len(shard) for shard in per_node])
-        nnz = np.array([s.nnz for s in rows])
-        indptr = np.concatenate([[0], np.cumsum(nnz)])
-        indices = np.concatenate([s.indices for s in rows]).astype(np.int64)
-        data = np.concatenate([s.values for s in rows]).astype(np.float64)
-        row_node = np.repeat(np.arange(len(per_node)), sizes)
-        Q, N = len(rows), len(per_node)
-        X = sp.csr_array((data, indices, indptr), shape=(Q, d))
-        Xb = sp.csr_array((data, indices + d * np.repeat(row_node, nnz), indptr),
-                          shape=(Q, N * d))
-        y = np.array([s.label for s in rows], dtype=np.float64)
-        c, slot = auc_row_constants(y, p) if family == "auc" else (None, None)
-        return cls(family, X, Xb, Xb.T.tocsr(), X.T, y, row_node, 1.0 / sizes[row_node],
+        X, sizes = shards.X, shards.sizes
+        (Q, d), N = X.shape, len(sizes)
+        row_node = np.repeat(np.arange(N), sizes)
+        Xb = sp.csr_array((X.data, X.indices + d * np.repeat(row_node, np.diff(X.indptr)),
+                           X.indptr), shape=(Q, N * d))
+        c, slot = auc_row_constants(shards.y, p) if family == "auc" else (None, None)
+        return cls(family, X, Xb, Xb.T.tocsr(), X.T, shards.y, row_node, 1.0 / sizes[row_node],
                    np.cumsum(sizes) - sizes, p, c, slot)
 
     @property
@@ -335,13 +328,6 @@ def resolve_regularized(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.n
     return wrap_l2_resolvent(lambda a, z: resolvent(op, a, z), op.lam, alpha, psi)
 
 
-def row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Every row's dot a_i . b_i, bitwise the 1-D `a_i @ b_i` (and so
-    `np.linalg.norm`'s sqrt(a . a)): numpy sends a stack of 1 x n by
-    n x 1 products to that same dot kernel. einsum sums in another order."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
     """Every row's Lipschitz constant ||B_i'||_2 + lam, in one array pass.
 
@@ -350,14 +336,7 @@ def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
     its norm is the spectral norm of a 3x3 matrix in that basis, taken for
     all rows in one batched norm.
     """
-    # the dot of OperatorSpec.na2, gathered by row length: bitwise its closed forms
-    data, ptr = samples.X.data, samples.X.indptr
-    nnz = np.diff(ptr)
-    na2 = np.empty(len(nnz))
-    for n in np.unique(nnz):
-        rows = np.flatnonzero(nnz == n)
-        V = data[ptr[rows, None] + np.arange(n)]
-        na2[rows] = row_dots(V, V)
+    na2 = row_sq_norms(samples.X)  # bitwise OperatorSpec.na2
     if samples.family == "ridge":
         return na2 + lam
     if samples.family == "logistic":

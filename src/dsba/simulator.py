@@ -23,7 +23,7 @@ from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
                          extra_round, local_mean_operator, make_node,
                          step_size_bound)
 from .operators import (COUNTERS, FAMILIES, OperatorSpec, SampleMatrix, eval_component,
-                        lipschitz_bound, make_operator, reset_counters, row_dots)
+                        lipschitz_bound, make_operator, reset_counters)
 from .sparse import SparseVec
 from .sparsecomm import Network, run_sparse, traffic_summary
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
@@ -62,7 +62,7 @@ class SyntheticSpec:
             raise ConfigError("margin must be in [0, 1)")
 
 
-def synthetic_samples(spec: SyntheticSpec) -> list[ds.Sample]:
+def synthetic_samples(spec: SyntheticSpec) -> ds.Rows:
     """Rows drawn, normalised and scored as blocks, in the rng order of one
     row at a time: a row's indices (sparse rows), its normals, then its
     noise (ridge). Classification draws blocks until `n_samples` rows pass
@@ -84,8 +84,8 @@ def synthetic_samples(spec: SyntheticSpec) -> list[ds.Sample]:
             IDX = np.broadcast_to(np.arange(spec.d, dtype=np.int64), (need, spec.d))
             B = rng.normal(size=(need, nnz + ridge))
         V = B[:, :nnz]
-        V = V / np.sqrt(row_dots(V, V))[:, None]
-        score = row_dots(V, w[IDX])
+        V = V / np.sqrt(ds.row_dots(V, V))[:, None]
+        score = ds.row_dots(V, w[IDX])
         if ridge:
             y = score + spec.noise * B[:, nnz]
         else:
@@ -94,15 +94,16 @@ def synthetic_samples(spec: SyntheticSpec) -> list[ds.Sample]:
         blocks.append((IDX, V, y))
         need -= len(y)
     IDX, V, y = (np.concatenate(b) for b in zip(*blocks))
-    return [ds.Sample(i, v, label, k)
-            for k, (i, v, label) in enumerate(zip(IDX, V, y.tolist()))]
+    X = sp.csr_array((V.ravel(), IDX.ravel(), np.arange(0, V.size + 1, nnz)),
+                     shape=(spec.n_samples, spec.d))
+    return ds.Rows(X, y, np.arange(spec.n_samples))
 
 
 @dataclass
 class Problem:
-    """The shards and the one sample matrix that set-up builds. The
-    per-sample operators `ops` are built on first read, which only the
-    per-node reference oracle (engine = generic) makes."""
+    """The shards and the sample matrix that wraps their rows. The per-sample
+    operators `ops`, on one-row views, are built on first read, which only
+    the per-node reference oracle (engine = generic) makes."""
 
     family: str
     shards: ds.Shards
@@ -112,8 +113,10 @@ class Problem:
 
     @functools.cached_property
     def ops(self) -> list[list[OperatorSpec]]:
-        return [[make_operator(self.family, s, self.lam, self.shards.d, self.samples.p)
-                 for s in shard] for shard in self.shards.per_node]
+        S, ptr = self.samples, self.samples.X.indptr
+        ops = [make_operator(self.family, ds.Sample(S.X.indices[a:b], S.X.data[a:b], y),
+                             self.lam, S.d, S.p) for a, b, y in zip(ptr, ptr[1:], S.y.tolist())]
+        return [ops[a:a + q] for a, q in zip(S.starts, self.shards.sizes)]
 
     @property
     def n_nodes(self) -> int:
@@ -124,13 +127,12 @@ def build_problem(shards: ds.Shards, family: str, lam: float) -> Problem:
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}")
     p = shards.p if family == "auc" else None
-    samples = SampleMatrix.from_shards(family, shards.per_node, shards.d, p)
+    samples = SampleMatrix.from_shards(family, shards, p)
     if family in ("logistic", "auc"):
         bad = np.flatnonzero(np.abs(samples.y) != 1.0)
         if len(bad):
-            n = samples.row_node[bad[0]]
-            s = shards.per_node[n][bad[0] - samples.starts[n]]
-            raise ConfigError(f"{family} needs labels in {{-1,+1}} (line {s.line_no})")
+            raise ConfigError(f"{family} needs labels in {{-1,+1}} "
+                              f"(line {shards.line_no[bad[0]]})")
     if family == "auc" and not (0.0 < shards.p < 1.0):
         raise ConfigError("auc needs both classes present")
     dim = shards.d + 3 if family == "auc" else shards.d
@@ -470,12 +472,9 @@ def _run_batched(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds:
 
 
 def _load_shards(config: RunConfig) -> ds.Shards:
-    if config.dataset_path is not None:
-        samples, d = ds.read_libsvm(config.dataset_path)
-        samples = ds.normalize_rows(samples)
-        return ds.partition(samples, config.n_nodes, config.seed, d=d)
-    samples = synthetic_samples(config.synthetic)
-    return ds.partition(samples, config.n_nodes, config.seed, d=config.synthetic.d)
+    rows = (synthetic_samples(config.synthetic) if config.dataset_path is None
+            else ds.normalize_rows(ds.read_libsvm(config.dataset_path)))
+    return ds.partition(rows, config.n_nodes, config.seed)
 
 
 def _pick_engine(config: RunConfig) -> str:

@@ -22,11 +22,6 @@ class SparseVec:
     def zero(cls, dim: int) -> "SparseVec":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), dim)
 
-    @classmethod
-    def from_dense(cls, x: np.ndarray) -> "SparseVec":
-        nz = np.flatnonzero(x)
-        return cls(nz.astype(np.int64), np.asarray(x, dtype=np.float64)[nz], len(x))
-
     @property
     def nnz(self) -> int:
         return int(len(self.idx))

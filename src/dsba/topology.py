@@ -133,10 +133,6 @@ class MixingMatrix:
     def n(self) -> int:
         return len(self.W)
 
-    @property
-    def eccentricities(self) -> np.ndarray:
-        return self.distances.max(axis=1)
-
 
 def build_mixing(A, tau: float | None = None) -> MixingMatrix:
     """W = I - L/tau. By default tau = lambda_max(L), which makes W psd while

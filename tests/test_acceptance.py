@@ -134,7 +134,8 @@ def test_history_table_summation_identity():
         # mutate the table a few times
         for _ in range(10):
             i = int(rng.integers(q))
-            new = SparseVec.from_dense(rng.standard_normal(d) * (node.table.lookup(i).to_dense() != 0))
+            idx = node.table.lookup(i).idx
+            new = SparseVec(idx, rng.standard_normal(d)[idx], d)
             node.table.update(i, new)
         total = np.zeros(d)
         for i in range(q):
@@ -232,7 +233,7 @@ def test_single_node_converges_within_pass_budget():
     q, d = 40, 5
     spec = SyntheticSpec(kind="ridge", d=d, n_samples=q, noise=0.05, seed=9)
     samples = synthetic_samples(spec)
-    shards = partition(samples, 1, seed=9, d=spec.d)
+    shards = partition(samples, 1, seed=9)
     problem = build_problem(shards, "ridge", lam=0.1)
     z_star, _ = reference_solution(problem)
     cfg = RunConfig(
@@ -283,7 +284,7 @@ def test_sparse_protocol_matches_dense(variant, graph):
     d, q_per = 50, 20
     spec = SyntheticSpec(kind="ridge", d=d, n_samples=q_per * N, noise=0.1, seed=21)
     samples = synthetic_samples(spec)
-    shards = partition(samples, N, seed=21, d=spec.d)
+    shards = partition(samples, N, seed=21)
     lam = 0.05
     problem = build_problem(shards, "ridge", lam=lam)
     L = max(

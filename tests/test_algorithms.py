@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dsba.algorithms import (
     AlgorithmError,
@@ -14,7 +15,7 @@ from dsba.algorithms import (
     node_means,
     step_size_bound,
 )
-from dsba.dataset import Sample
+from dsba.dataset import Sample, Shards
 from dsba.operators import (SampleMatrix, eval_component, kernel_auc, make_operator,
                             resolve_regularized)
 from dsba.simulator import _run_dense_generic
@@ -31,6 +32,16 @@ def _ops(rng, d, q, lam=0.1, family="ridge"):
         label = 1.0 if rng.random() < 0.5 else -1.0
         ops.append(make_operator(family, Sample(idx, val, label), lam, d))
     return ops
+
+
+def _shards(samples, d, sizes):
+    """The rows of the given one-row views, stacked in node order."""
+    X = sp.csr_array((np.concatenate([s.values for s in samples]),
+                      np.concatenate([s.indices for s in samples]),
+                      np.cumsum([0] + [len(s.indices) for s in samples])),
+                     shape=(len(samples), d))
+    return Shards(X, np.array([s.label for s in samples]), np.arange(len(samples)),
+                  np.array(sizes))
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 30, 1000, 2**20, 2**31 - 1])
@@ -78,7 +89,7 @@ def test_phitable_update_rejects_support_change():
     ops = _ops(rng, 6, 3)
     table = PhiTable(ops, np.zeros(6))
     with pytest.raises(AlgorithmError):
-        table.update(0, SparseVec.from_dense(np.ones(6)))
+        table.update(0, SparseVec(np.arange(6), np.ones(6), 6))
 
 
 def test_estimator_unbiased_over_samples():
@@ -95,7 +106,7 @@ def test_estimator_unbiased_over_samples():
         table.lookup(i).add_into(est, -1.0)
         eval_component(ops[i], z).add_into(est)
         mean_est += est / q
-    samples = SampleMatrix.from_shards("ridge", [[op.sample for op in ops]], d)
+    samples = SampleMatrix.from_shards("ridge", _shards([op.sample for op in ops], d, [q]))
     exact = local_mean_operator(samples, z[None, :], lam)[0]
     assert np.allclose(mean_est, exact, atol=1e-12)
 
@@ -191,16 +202,15 @@ def _batched_case(family, d=6, sizes=(5, 4, 6), seed=9):
     """Unequal shards of random rows, labels alternating +1/-1 (ridge:
     real targets), a random start Z0 and the path's mixing matrix."""
     rng = np.random.default_rng(seed)
-    per_node = []
+    rows = []
     for q in sizes:
-        shard = []
         for k in range(q):
             idx = np.sort(rng.choice(d, size=3, replace=False)).astype(np.int64)
             val = rng.standard_normal(3)
             label = float(rng.standard_normal()) if family == "ridge" else (-1.0) ** k
-            shard.append(Sample(idx, val / np.linalg.norm(val), label))
-        per_node.append(shard)
-    samples = SampleMatrix.from_shards(family, per_node, d, p=0.3 if family == "auc" else None)
+            rows.append(Sample(idx, val / np.linalg.norm(val), label))
+    samples = SampleMatrix.from_shards(family, _shards(rows, d, sizes),
+                                       p=0.3 if family == "auc" else None)
     Z0 = rng.standard_normal((len(sizes), d + 3 if family == "auc" else d))
     return samples, Z0, build_mixing(make_adjacency("path", len(sizes)))
 

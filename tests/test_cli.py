@@ -231,3 +231,24 @@ def test_prep_non_utf8_file_is_config_error(tmp_path, capsys):
     code = main(["prep", str(data), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["+1 1:nan", "nan 1:1.0", "-1 2:1e400"],
+                         ids=["nan-value", "nan-label", "overflow-value"])
+def test_non_finite_data_is_config_error(tmp_path, capsys, line):
+    data = tmp_path / "nonfinite.libsvm"
+    data.write_text(LIBSVM_SMALL + line + "\n")
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\nrounds = 5\n\n[graph]\nn_nodes = 2\n\n[data]\npath = {data}\n")
+    code = main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "line 7: non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", ["0", "-1"])
+def test_prep_non_positive_node_count_is_config_error(tmp_path, capsys, nodes):
+    data = tmp_path / "tiny.libsvm"
+    data.write_text(LIBSVM_SMALL)
+    code = main(["prep", str(data), "--nodes", nodes, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "node count" in capsys.readouterr().err

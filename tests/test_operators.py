@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dsba.dataset import Sample
+from dsba.dataset import Sample, Shards
 from dsba.operators import (
     COUNTERS,
     OperatorError,
@@ -30,7 +31,13 @@ def _sample(rng, d, nnz=None, label=None):
 
 def _bounds(family, samples, lam, d, p=None):
     """`lipschitz_bound` of the given samples, as one node's rows."""
-    return lipschitz_bound(SampleMatrix.from_shards(family, [samples], d, p), lam)
+    X = sp.csr_array((np.concatenate([s.values for s in samples]),
+                      np.concatenate([s.indices for s in samples]),
+                      np.cumsum([0] + [len(s.indices) for s in samples])),
+                     shape=(len(samples), d))
+    shards = Shards(X, np.array([s.label for s in samples]), np.arange(len(samples)),
+                    np.array([len(samples)]))
+    return lipschitz_bound(SampleMatrix.from_shards(family, shards, p), lam)
 
 
 def test_unknown_family_rejected():

@@ -22,7 +22,7 @@ from dsba.simulator import (
     run,
     synthetic_samples,
 )
-from dsba.dataset import partition
+from dsba.dataset import Rows, Sample, partition
 
 
 def _spec(**kw):
@@ -32,21 +32,21 @@ def _spec(**kw):
 
 
 def test_synthetic_ridge_samples():
-    samples = synthetic_samples(_spec())
-    assert len(samples) == 40
-    for s in samples:
-        assert np.isclose(np.linalg.norm(s.values), 1.0)
+    rows = synthetic_samples(_spec())
+    assert rows.Q == 40
+    for values in np.split(rows.X.data, rows.X.indptr[1:-1]):
+        assert np.isclose(np.linalg.norm(values), 1.0)
 
 
 def test_synthetic_classification_margin():
     spec = _spec(kind="classification", margin=0.2, n_samples=30)
-    samples = synthetic_samples(spec)
-    assert all(s.label in (-1.0, 1.0) for s in samples)
+    rows = synthetic_samples(spec)
+    assert all(label in (-1.0, 1.0) for label in rows.y)
 
 
 def test_synthetic_sparsity():
-    samples = synthetic_samples(_spec(nnz=3))
-    assert all(s.nnz == 3 for s in samples)
+    rows = synthetic_samples(_spec(nnz=3))
+    assert all(np.diff(rows.X.indptr) == 3)
 
 
 def test_synthetic_rejects_bad_kind():
@@ -95,18 +95,20 @@ def test_block_generator_matches_per_row_draws_bitwise(kind, nnz, margin):
         spec = _spec(kind=kind, nnz=nnz, margin=margin, seed=seed)
         got = synthetic_samples(spec)
         want = _per_row_samples(spec)
-        assert len(got) == len(want) == spec.n_samples
-        for s, (idx, val, label, line_no) in zip(got, want):
-            assert s.indices.dtype == np.int64 and np.array_equal(s.indices, idx)
-            assert np.array_equal(s.values, val)
-            assert s.label == label and s.line_no == line_no
+        assert got.Q == len(want) == spec.n_samples
+        ptr = got.X.indptr
+        for k, (idx, val, label, line_no) in enumerate(want):
+            indices = got.X.indices[ptr[k]:ptr[k + 1]]
+            assert indices.dtype == np.int64 and np.array_equal(indices, idx)
+            assert np.array_equal(got.X.data[ptr[k]:ptr[k + 1]], val)
+            assert got.y[k] == label and got.line_no[k] == line_no
 
 
 def test_reference_solution_is_root_of_global_operator():
     for family in ("ridge", "logistic"):
         spec = _spec(kind="ridge" if family == "ridge" else "classification",
                      margin=0.05)
-        shards = partition(synthetic_samples(spec), 4, seed=0, d=8)
+        shards = partition(synthetic_samples(spec), 4, seed=0)
         problem = build_problem(shards, family, lam=0.1)
         z_star, resid = reference_solution(problem)
         assert resid < 1e-10
@@ -131,7 +133,7 @@ def _per_column_probe(problem):
                                         ("auc", 3)])
 def test_block_probe_matches_per_column_probe_bitwise(family, nnz):
     spec = _spec(kind="ridge" if family == "ridge" else "classification", nnz=nnz)
-    problem = build_problem(partition(synthetic_samples(spec), 4, seed=0, d=8),
+    problem = build_problem(partition(synthetic_samples(spec), 4, seed=0),
                             family, lam=0.1)
     M, F0 = _per_column_probe(problem)
     FE = global_operator(problem)(np.eye(problem.dim, problem.dim + 1, 1))
@@ -146,7 +148,7 @@ def test_block_probe_matches_per_column_probe_bitwise(family, nnz):
 
 def test_objective_minimized_at_reference():
     spec = _spec()
-    shards = partition(synthetic_samples(spec), 2, seed=0, d=8)
+    shards = partition(synthetic_samples(spec), 2, seed=0)
     problem = build_problem(shards, "ridge", lam=0.1)
     z_star, _ = reference_solution(problem)
     rng = np.random.default_rng(0)
@@ -184,28 +186,30 @@ def test_auc_score_ties_count_half_and_nan_propagates():
 
 def test_build_problem_rejects_bad_labels():
     samples = synthetic_samples(_spec())  # regression labels
-    shards = partition(samples, 2, seed=0, d=8)
+    shards = partition(samples, 2, seed=0)
     with pytest.raises(ConfigError):
         build_problem(shards, "logistic", lam=0.1)
     # the error names the first bad row in node order
-    shards = partition(synthetic_samples(_spec(kind="classification")), 4, seed=0, d=8)
-    shards.per_node[3][0].label = 2.0
-    shards.per_node[2][3].label = 0.5
+    shards = partition(synthetic_samples(_spec(kind="classification")), 4, seed=0)
+    starts = np.cumsum(shards.sizes) - shards.sizes
+    shards.y[starts[3]] = 2.0
+    shards.y[starts[2] + 3] = 0.5
     for family in ("logistic", "auc"):
-        with pytest.raises(ConfigError, match=f"line {shards.per_node[2][3].line_no}\\)"):
+        with pytest.raises(ConfigError, match=f"line {shards.line_no[starts[2] + 3]}\\)"):
             build_problem(shards, family, lam=0.1)
 
 
 def test_build_problem_rejects_what_operators_reject():
     # set-up builds no per-sample operator, so build_problem itself rejects
     # an unknown family and auc data with one class
-    shards = partition(synthetic_samples(_spec()), 2, seed=0, d=8)
+    shards = partition(synthetic_samples(_spec()), 2, seed=0)
     with pytest.raises(ConfigError, match="unknown family"):
         build_problem(shards, "huber", lam=0.1)
-    one_class = [s for s in synthetic_samples(_spec(kind="classification", n_samples=60))
-                 if s.label > 0]
+    rows = synthetic_samples(_spec(kind="classification", n_samples=60))
+    pos = rows.y > 0
+    one_class = Rows(rows.X[pos], rows.y[pos], rows.line_no[pos])
     with pytest.raises(ConfigError, match="both classes"):
-        build_problem(partition(one_class, 2, seed=0, d=8), "auc", lam=0.1)
+        build_problem(partition(one_class, 2, seed=0), "auc", lam=0.1)
 
 
 @pytest.mark.parametrize(
@@ -253,7 +257,7 @@ def test_zero_rounds_logs_initialization_row():
 def test_consensus_start_at_optimum_stays_there():
     # N=1, z0 = z*, table anchored at z*: the iteration is stationary
     spec = _spec(n_samples=20)
-    shards = partition(synthetic_samples(spec), 1, seed=0, d=8)
+    shards = partition(synthetic_samples(spec), 1, seed=0)
     problem = build_problem(shards, "ridge", lam=0.1)
     z_star, _ = reference_solution(problem)
     from dsba.algorithms import dsba_node_step, make_node
@@ -339,6 +343,39 @@ def test_only_the_per_node_engine_builds_operators(kw, built, monkeypatch):
     assert res.manifest["lipschitz"] == lipschitz_bound(res.problem.samples, res.lam).max()
 
 
+@pytest.mark.parametrize("kw,built", [
+    pytest.param(dict(), False, id="dense"),
+    pytest.param(dict(comm="sparse"), False, id="sparse"),
+    pytest.param(dict(family="auc"), False, id="dense-auc"),
+    pytest.param(dict(comm="sparse", libsvm=True), False, id="sparse-libsvm"),
+    pytest.param(dict(engine="generic"), True, id="generic"),
+])
+def test_set_up_builds_no_sample(kw, built, tmp_path, monkeypatch):
+    # the dataset is one CSR form from generation or parse to the manifest:
+    # only the per-node oracle's operators take one-row `Sample` views
+    made = []
+    init = Sample.__init__
+
+    def counting(sample, *args, **kwargs):
+        made.append(sample)
+        init(sample, *args, **kwargs)
+
+    monkeypatch.setattr(Sample, "__init__", counting)
+    kw = dict(kw)
+    family = kw.setdefault("family", "ridge")
+    data = dict(synthetic=_spec(kind="ridge" if family == "ridge" else "classification",
+                                nnz=3, margin=0.05))
+    if kw.pop("libsvm", False):
+        path = tmp_path / "data.svm"
+        path.write_text("".join(f"{(-1) ** k * (k % 5 + 1)} {k % 7 + 1}:1.5 9:{k}.25\n"
+                                for k in range(40)))
+        data = dict(dataset_path=str(path))
+    res = run(RunConfig(**data, **{"n_nodes": 4, "topology": "complete", "rounds": 3,
+                                   "seed": 0, **kw}))
+    assert res.manifest["Q"] == 40
+    assert len(made) == (40 if built else 0)
+
+
 def test_metrics_csv_roundtrip():
     log = MetricsLog(rows=[MetricsRow(0, 0.0, 1.0, 0.5, 0, 0.0),
                            MetricsRow(10, 1.0, 0.1, 0.4, 120, 0.5)])
@@ -398,7 +435,7 @@ def test_sparse_matches_dense_with_mixed_eccentricities(variant, topology, n_nod
                   rounds=120, seed=9, compute_score=False)
     dense = run(RunConfig(comm="dense", **common))
     sparse = run(RunConfig(comm="sparse", **common))
-    assert len(set(sparse.mix.eccentricities.tolist())) > 1
+    assert len(set(sparse.mix.distances.max(axis=1).tolist())) > 1
     assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
 
 
@@ -420,7 +457,7 @@ def _traffic_oracle(res):
                 payload = 2 * res.problem.dim
             else:
                 op = ops[int(rng.integers(len(ops)))]
-                payload = op.sample.nnz + (2 if cfg.family == "auc" else 0)
+                payload = len(op.sample.indices) + (2 if cfg.family == "auc" else 0)
             for u in range(cfg.n_nodes):
                 if u != n and s + mix.distances[n, u] <= last:
                     (initial if s == -1 else values)[u] += payload
@@ -574,7 +611,7 @@ def _unequal_problem(family, nnz):
     # 23 samples on 4 nodes: shard sizes 6, 6, 6, 5
     kind = "ridge" if family == "ridge" else "classification"
     spec = _spec(kind=kind, d=9, n_samples=23, nnz=nnz, seed=1)
-    shards = partition(synthetic_samples(spec), 4, seed=0, d=9)
+    shards = partition(synthetic_samples(spec), 4, seed=0)
     return build_problem(shards, family, lam=0.07)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dsba.algorithms import (
     BatchedTable,
@@ -7,8 +8,9 @@ from dsba.algorithms import (
     dsba_node_step,
     make_node,
 )
-from dsba.dataset import Sample
-from dsba.operators import SampleMatrix, make_operator
+from dsba.dataset import Shards
+from dsba.operators import SampleMatrix
+from dsba.simulator import build_problem
 from dsba.sparsecomm import (
     NO_PACKET,
     Network,
@@ -49,33 +51,31 @@ ALPHA, LAM, SEED = 0.02, 0.05, 11
 
 
 def _data(mix, d=12, q=6, data_seed=31):
-    """Per-node ridge samples (q per node, 4 nonzeros each) and z0."""
+    """Ridge shards (q rows per node, 4 nonzeros each) and z0."""
     rng = np.random.default_rng(data_seed)
     z0 = rng.standard_normal((mix.n, d))
-    per_node = []
-    for _ in range(mix.n):
-        shard = []
-        for _ in range(q):
-            idx = np.sort(rng.choice(d, size=4, replace=False)).astype(np.int64)
-            val = rng.standard_normal(4)
-            val /= np.linalg.norm(val)
-            shard.append(Sample(idx, val, float(rng.standard_normal())))
-        per_node.append(shard)
-    return per_node, z0
+    idx, val, y = [], [], []
+    for _ in range(mix.n * q):
+        idx.append(np.sort(rng.choice(d, size=4, replace=False)))
+        v = rng.standard_normal(4)
+        val.append(v / np.linalg.norm(v))
+        y.append(float(rng.standard_normal()))
+    X = sp.csr_array((np.concatenate(val), np.concatenate(idx),
+                      np.arange(0, 4 * len(y) + 1, 4)), shape=(len(y), d))
+    return Shards(X, np.array(y), np.arange(len(y)), np.full(mix.n, q)), z0
 
 
 def _run_sparse(mix, rounds, d=12, q=6, **kw):
-    per_node, z0 = _data(mix, d=d, q=q)
-    table = BatchedTable(SampleMatrix.from_shards("ridge", per_node, d), z0, SEED)
+    shards, z0 = _data(mix, d=d, q=q)
+    table = BatchedTable(SampleMatrix.from_shards("ridge", shards), z0, SEED)
     return run_sparse(table, mix, z0, rounds, alpha=ALPHA, lam=LAM, **kw)
 
 
 def _dense_reference(mix, variant, rounds, d=12):
     # the per-node update rule, one node at a time
-    per_node, z0 = _data(mix, d=d)
-    states = [make_node(n, [make_operator("ridge", s, LAM, d) for s in shard],
-                        ALPHA, LAM, z0[n], seed=SEED)
-              for n, shard in enumerate(per_node)]
+    shards, z0 = _data(mix, d=d)
+    states = [make_node(n, ops, ALPHA, LAM, z0[n], seed=SEED)
+              for n, ops in enumerate(build_problem(shards, "ridge", LAM).ops)]
     step = dsba_node_step if variant == "dsba" else dsa_node_step
     Z = np.stack([s.z for s in states])
     for t in range(rounds):
@@ -105,7 +105,7 @@ def test_sparse_equals_dense_across_warmup_boundary(variant, kind, n):
     # node, in the round it does (D - 1, D the largest eccentricity), and
     # just after
     mix = build_mixing(make_adjacency(kind, n))
-    D = int(mix.eccentricities.max())
+    D = int(mix.distances.max())
     for rounds in (1, 2, D - 1, D, D + 1):
         Z_sparse, _ = _run_sparse(mix, rounds, variant=variant)
         gap = np.max(np.abs(Z_sparse - _dense_reference(mix, variant, rounds)))
@@ -116,8 +116,8 @@ def test_sparse_payload_bounded_by_support():
     # every round's payload per node is at most
     # (number of origins) * (max delta support)
     mix = build_mixing(make_adjacency("ring", 5))
-    per_node, _ = _data(mix, d=20, q=5)
-    max_nnz = max(s.nnz for shard in per_node for s in shard)
+    shards, _ = _data(mix, d=20, q=5)
+    max_nnz = np.diff(shards.X.indptr).max()
     rounds = 50
     done = []
     _, net = _run_sparse(mix, rounds, d=20, q=5, variant="dsba",
@@ -188,7 +188,7 @@ def test_observer_needs_every_delta_it_reads(n, origin, dest, flood):
     # distances 3, 1 and 1 on a 4-node path, and the far end of a 6-node
     # path, where the lag equals the largest eccentricity D = 5
     mix = build_mixing(make_adjacency("path", n))
-    rnd = -1 if flood else int(mix.eccentricities.max()) + 4
+    rnd = -1 if flood else int(mix.distances.max()) + 4
     net = _Withholding(mix.distances, origin, rnd, dest)
     done = []
 
@@ -291,7 +291,7 @@ def test_run_inside_warmup_delivers_its_packets():
     # their last round, before it has reached every node
     for rounds in (1, 3):
         mix, net = _check_traffic_against_oracle(rounds)
-        assert rounds < mix.eccentricities.max()
+        assert rounds < mix.distances.max()
         assert max(net.arrivals) == rounds - 1
         assert 0 < net.initial_doubles.min() < (mix.n - 1) * 2 * 12
     assert net.value_doubles.sum() > 0
@@ -306,12 +306,11 @@ def _witness_run(mix, family, variant):
     the table means phibar^0 and the deltas delta^s = (phibar^{s+1} -
     phibar^s) q. Also the largest magnitude of Z, the dual S and alpha
     phibar over the run."""
-    per_node, _ = _data(mix, q=WITNESS_Q)
+    shards, _ = _data(mix, q=WITNESS_Q)
     if family != "ridge":
-        per_node = [[Sample(s.indices, s.values, 1.0 if s.label > 0 else -1.0)
-                     for s in shard] for shard in per_node]
-    p = np.mean([s.label > 0 for shard in per_node for s in shard])
-    samples = SampleMatrix.from_shards(family, per_node, 12, p=p if family == "auc" else None)
+        shards.y = np.where(shards.y > 0, 1.0, -1.0)
+    p = np.mean(shards.y > 0)
+    samples = SampleMatrix.from_shards(family, shards, p=p if family == "auc" else None)
     Z0 = np.random.default_rng(5).standard_normal((mix.n, 12 + 3 * (family == "auc")))
     table = BatchedTable(samples, Z0, SEED)
     Zs, phibars = [Z0], [table.phibar.copy()]

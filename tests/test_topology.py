@@ -135,5 +135,5 @@ def test_mixing_rejects_disconnected():
 
 def test_eccentricity_and_diameter():
     mix = build_mixing(make_adjacency("path", 5))
-    assert mix.eccentricities.max() == 4
-    assert mix.eccentricities.min() == 2
+    assert mix.distances.max(axis=1).max() == 4
+    assert mix.distances.max(axis=1).min() == 2
