@@ -154,14 +154,21 @@ def read_libsvm(path) -> Rows:
 
 def normalize_rows(rows: Rows) -> Rows:
     """Divide every row by its l2 norm (bitwise `np.linalg.norm`), dropping
-    explicit zero entries.
+    explicit zero entries. A row whose squared norm overflows to inf, or
+    underflows to 0 although it holds a nonzero, takes its norm from the
+    row scaled by its largest magnitude instead.
 
     All-zero samples are rejected (they carry no information and would break
     the unit-norm invariant downstream).
     """
     X = rows.X.copy()
     X.eliminate_zeros()
-    nrm = np.sqrt(row_sq_norms(X))
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = np.sqrt(row_sq_norms(X))
+    for i in np.flatnonzero(np.isinf(nrm) | ((nrm == 0.0) & (np.diff(X.indptr) > 0))):
+        v = X.data[X.indptr[i]:X.indptr[i + 1]]
+        big = np.abs(v).max()
+        nrm[i] = big * np.sqrt((v / big) @ (v / big))
     zero = np.flatnonzero(nrm == 0.0)
     if len(zero):
         raise DatasetError(f"line {rows.line_no[zero[0]]}: all-zero sample cannot be normalized")

@@ -158,11 +158,12 @@ def test_prep_malformed_file_is_config_error(tmp_path):
     assert code == EXIT_CONFIG
 
 
-def test_invalid_newton_iters_is_config_error(tmp_path):
+def test_invalid_metric_every_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.ini"
-    path.write_text(FAST_INI.replace("[graph]", "newton_iters = 0\n\n[graph]"))
+    path.write_text(FAST_INI.replace("metric_every = 20", "metric_every = 0"))
     code = main(["run", "--config", str(path), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
+    assert "metric_every" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("old,new,named", [
@@ -243,6 +244,16 @@ def test_non_finite_data_is_config_error(tmp_path, capsys, line):
     code = main(["run", "--config", str(path), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     assert "line 7: non-finite" in capsys.readouterr().err
+
+
+def test_data_beyond_squared_norm_range_runs(tmp_path):
+    # a row whose squared norm overflows and one whose squared norm
+    # underflows are normalised, not zeroed or rejected
+    data = tmp_path / "extreme.libsvm"
+    data.write_text(LIBSVM_SMALL + "+1 1:1e200 2:1e200\n-1 1:1e-170\n")
+    path = tmp_path / "run.ini"
+    path.write_text(f"[run]\nrounds = 5\n\n[graph]\nn_nodes = 2\n\n[data]\npath = {data}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("nodes", ["0", "-1"])

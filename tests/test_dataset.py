@@ -84,6 +84,17 @@ def test_normalize_rows_divides_by_the_row_norm_bitwise():
     assert out.y is rows.y and out.line_no is rows.line_no
 
 
+def test_normalize_rows_survives_overflow_and_underflow():
+    # squared norms of 4e400 and 1e-340 leave float64; such rows are
+    # scaled by their largest magnitude, every other row stays bitwise
+    rows = parse_libsvm("1 1:1e200 2:1e200\n-1 1:1e-170\n1 1:3.0 2:4.0")
+    with np.errstate(all="raise"):
+        out = normalize_rows(rows)
+    np.testing.assert_allclose(out.X.data[:3], [2 ** -0.5, 2 ** -0.5, 1.0], rtol=1e-15)
+    v = rows.X.data[3:]
+    assert np.array_equal(out.X.data[3:], v / np.linalg.norm(v))
+
+
 def test_normalize_drops_zero_entries():
     out = normalize_rows(parse_libsvm("1 1:3.0 2:0.0\n-1 1:0.0 3:-2.0 4:0.0"))
     assert list(out.X.indices) == [0, 2]

@@ -439,30 +439,69 @@ def test_sparse_matches_dense_with_mixed_eccentricities(variant, topology, n_nod
     assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
 
 
-def _traffic_oracle(res):
-    """Per-node payload values, metadata and initial-state doubles of a
-    sparse run, packet by packet: node n's round -1 packet carries its
-    initial state (2 dim values), its round-s packet its drawn sample's
-    nonzeros (two more for auc's tail), and each reaches every u != n at
-    round s + dist(n, u); rounds are delivered up to the run's last."""
-    cfg, mix, S = res.config, res.mix, res.problem.samples
-    last = cfg.rounds - 1
-    values = np.zeros(cfg.n_nodes, dtype=np.int64)
-    initial = np.zeros(cfg.n_nodes, dtype=np.int64)
-    metadata = np.zeros(cfg.n_nodes, dtype=np.int64)
+def _traffic_by_round(res, rounds):
+    """Per delivery round t < rounds and node, the payload values, flood
+    values and metadata of a sparse run, packet by packet: node n's round -1
+    packet carries its initial state (2 dim values), its round-s packet its
+    drawn sample's nonzeros (two more for auc's tail), and each reaches every
+    u != n at round s + dist(n, u)."""
+    cfg, mix = res.config, res.mix
+    values, initial, metadata = (np.zeros((rounds, cfg.n_nodes), dtype=np.int64)
+                                 for _ in range(3))
     for n, ops in enumerate(res.problem.ops):
         rng = np.random.default_rng([cfg.seed, n])
-        for s in range(-1, cfg.rounds):
+        for s in range(-1, rounds):
             if s == -1:
                 payload = 2 * res.problem.dim
             else:
                 op = ops[int(rng.integers(len(ops)))]
                 payload = len(op.sample.indices) + (2 if cfg.family == "auc" else 0)
             for u in range(cfg.n_nodes):
-                if u != n and s + mix.distances[n, u] <= last:
-                    (initial if s == -1 else values)[u] += payload
-                    metadata[u] += payload + 2
-    return values, metadata, initial
+                t = s + mix.distances[n, u]
+                if u != n and t < rounds:
+                    (initial if s == -1 else values)[t, u] += payload
+                    metadata[t, u] += payload + 2
+    return values, initial, metadata
+
+
+def _traffic_oracle(res, last=None):
+    """Per-node payload values, metadata and initial-state doubles of a
+    sparse run delivered up to round `last`, by default the run's last."""
+    last = res.config.rounds - 1 if last is None else last
+    values, initial, metadata = _traffic_by_round(res, last + 1)
+    return values.sum(axis=0), metadata.sum(axis=0), initial.sum(axis=0)
+
+
+def test_sparse_traffic_at_every_metric_row():
+    # 2,100 rounds: metric rows every 7 rounds settle the traffic off the
+    # 1,024-round span, on a path of diameter 4
+    common = dict(family="ridge", variant="dsba", n_nodes=5, topology="path",
+                  synthetic=_spec(d=12, n_samples=30, nnz=3), lam=0.05, seed=1,
+                  comm="sparse", metric_every=7)
+    res = run(RunConfig(rounds=2100, **common))
+    assert res.mix.distances.max() >= 3
+    values, initial, metadata = _traffic_by_round(res, 2100)
+    received = np.cumsum(values + initial, axis=0).max(axis=1)
+    rows = res.metrics.rows[1:]
+    assert [r.round for r in rows] == list(range(7, 2101, 7))
+    assert [r.c_max for r in rows] == [int(received[r.round - 1]) for r in rows]
+    traffic = res.manifest["traffic"]
+    assert traffic["payload_values"] == values.sum(axis=0).tolist()
+    assert traffic["initial_state"] == initial.sum(axis=0).tolist()
+    assert traffic["metadata"] == metadata.sum(axis=0).tolist()
+    assert res.comm_per_round == values.max(axis=0).tolist()
+
+    # an early stop settles the traffic up to its round
+    stopped = run(RunConfig(rounds=2100, stop_subopt=res.metrics.rows[150].subopt,
+                            **common))
+    last = stopped.metrics.final.round - 1
+    assert 0 < last < 2099
+    values, metadata, initial = _traffic_oracle(stopped, last)
+    traffic = stopped.manifest["traffic"]
+    assert traffic["payload_values"] == values.tolist()
+    assert traffic["metadata"] == metadata.tolist()
+    assert traffic["initial_state"] == initial.tolist()
+    assert stopped.metrics.final.c_max == int((values + initial).max())
 
 
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])

@@ -22,29 +22,42 @@ from dsba.topology import bfs_distances, build_mixing, make_adjacency
 
 
 def test_network_delivers_once_per_destination():
+    # origin o's round-0 packet carries 10**o values, so every round's
+    # traffic names the origins it came from
     A = make_adjacency("path", 4)
     distances = bfs_distances(A)
     net = Network(distances)
-    net.broadcast(0, np.full(4, 3))
+    net.broadcast(-1, np.zeros(4, dtype=np.int64))
     seen = {}
     for t in range(0, 5):
-        arrivals = net.deliver(t)
-        for dest, origin in np.argwhere(arrivals >= 0):
-            assert arrivals[dest, origin] == 0
-            assert (dest, origin) not in seen
-            seen[dest, origin] = t
+        net.broadcast(t, 10 ** np.arange(4) if t == 0 else np.zeros(4, dtype=np.int64))
+        before = net.value_doubles.copy()
+        net.settle()
+        for dest, got in enumerate(net.value_doubles - before):
+            for origin in range(4):
+                if got // 10 ** origin % 10:
+                    assert got // 10 ** origin % 10 == 1
+                    assert (dest, origin) not in seen
+                    seen[dest, origin] = t
     # each other node got each origin's packet exactly once, at its hop distance
     assert {dest: t for (dest, origin), t in seen.items() if origin == 0} == {1: 1, 2: 2, 3: 3}
     assert seen == {(u, o): distances[o, u] for o in range(4) for u in range(4) if u != o}
+    first, last = net.deliver(0, 5)
+    for u in range(4):
+        for o in range(4):
+            expected = NO_PACKET if u == o else -1
+            assert first[u, o] == expected and last[u, o] == (
+                NO_PACKET if u == o else 4 - distances[o, u])
 
 
 def test_network_rejects_duplicate_delivery():
     A = make_adjacency("complete", 3)
     net = Network(bfs_distances(A))
+    net.broadcast(-1, np.full(3, 6))
     net.broadcast(0, np.full(3, 3))
     net.broadcast(0, np.full(3, 3))
-    with pytest.raises(ProtocolError):
-        net.deliver(1)
+    with pytest.raises(ProtocolError, match="duplicate delivery of round 0"):
+        net.deliver(1, 2)
 
 
 ALPHA, LAM, SEED = 0.02, 0.05, 11
@@ -163,41 +176,51 @@ def test_run_sparse_rejects_other_variants(variant):
 
 
 class _Withholding(Network):
-    """Drops packet (origin, round) on its way to one destination."""
+    """Drops packet (origin, round) on its way to one destination: the
+    span's arrivals from that origin stop before it."""
 
     def __init__(self, distances, origin, rnd, dest):
         super().__init__(distances)
         self.drop = (origin, rnd, dest)
 
-    def deliver(self, t):
-        arrivals = super().deliver(t)
+    def deliver(self, t, end):
+        first, last = arrivals = super().deliver(t, end)
         origin, rnd, dest = self.drop
-        if arrivals[dest, origin] == rnd:
-            arrivals[dest, origin] = NO_PACKET
+        if first[dest, origin] <= rnd <= last[dest, origin]:
+            last[dest, origin] = rnd - 1
+            if rnd == first[dest, origin]:
+                first[dest, origin] = last[dest, origin] = NO_PACKET
         return arrivals
 
 
-# ids are origin-dest, and "flood" for the initial-state packet (round -1)
-@pytest.mark.parametrize("n,origin,dest,flood",
-                         [(4, 0, 3, False), (4, 2, 1, False), (4, 3, 2, False),
-                          (6, 0, 5, False), (4, 0, 3, True), (6, 0, 5, True),
-                          (4, 2, 1, True)],
+# ids are origin-dest, and "flood" for the initial-state packet (round -1);
+# rnd None is the round D + 4
+@pytest.mark.parametrize("n,origin,dest,rnd",
+                         [(4, 0, 3, None), (4, 2, 1, None), (4, 3, 2, None),
+                          (6, 0, 5, None), (4, 0, 3, -1), (6, 0, 5, -1),
+                          (4, 2, 1, -1), (4, 0, 3, 1097)],
                          ids=["0-3", "2-1", "3-2", "0-5", "flood-0-3", "flood-0-5",
-                              "flood-2-1"])
-def test_observer_needs_every_delta_it_reads(n, origin, dest, flood):
+                              "flood-2-1", "0-3-second-block"])
+def test_observer_needs_every_delta_it_reads(n, origin, dest, rnd):
     # distances 3, 1 and 1 on a 4-node path, and the far end of a 6-node
-    # path, where the lag equals the largest eccentricity D = 5
+    # path, where the lag equals the largest eccentricity D = 5; the last
+    # case's packet is due at round 1,100, in the second span of draws and
+    # between the rows where the traffic is read
     mix = build_mixing(make_adjacency("path", n))
-    rnd = -1 if flood else int(mix.distances.max()) + 4
+    if rnd is None:
+        rnd = int(mix.distances.max()) + 4
     net = _Withholding(mix.distances, origin, rnd, dest)
     done = []
 
     def on_round(t, Z, table):
         done.append(t)
+        if (t + 1) % 7 == 0:
+            net.received_doubles()
 
     with pytest.raises(ProtocolError, match=f"observer {dest} missing delta "
                                             f"\\(origin={origin}, round={rnd}\\)"):
-        _run_sparse(mix, 60, d=8, q=4, variant="dsba", on_round=on_round, net=net)
+        _run_sparse(mix, max(60, rnd + 100), d=8, q=4, variant="dsba",
+                    on_round=on_round, net=net)
     # the observer first reads the packet in the round it was due, before
     # round 0 completes for the flood to a neighbour
     assert len(done) == rnd + mix.distances[origin, dest]
@@ -208,9 +231,10 @@ def test_observer_rejects_gap_and_repeat():
     obs = ObserverMemory(mix)
 
     def arrivals(*packets):
-        arr = np.full((4, 4), NO_PACKET)
+        # one-packet spans: first and last round alike
+        arr = np.full((2, 4, 4), NO_PACKET)
         for dest, origin, rnd in packets:
-            arr[dest, origin] = rnd
+            arr[:, dest, origin] = rnd
         return arr
 
     obs.absorb(arrivals((0, 1, -1), (0, 2, -1)))
@@ -227,22 +251,30 @@ def test_observer_rejects_gap_and_repeat():
 
 
 class _Recording(Network):
-    """Keeps every round sent, every inbox delivered and the delta values
-    each round delivered to each node."""
+    """Keeps every round sent, every span's arrivals, and the delta values
+    each round delivered to each node: it settles before every send."""
 
     def __init__(self, distances):
         super().__init__(distances)
-        self.sent, self.arrivals, self.values = [], {}, {}
+        self.sent, self.spans, self.values = [], [], {}
 
     def broadcast(self, t, nnz):
+        self._record()
         self.sent.append((t, np.array(nnz)))
         super().broadcast(t, nnz)
 
-    def deliver(self, t):
-        before = self.value_doubles.copy()
-        self.arrivals[t] = super().deliver(t)
-        self.values[t] = self.value_doubles - before
-        return self.arrivals[t]
+    def deliver(self, t, end):
+        self.spans.append(super().deliver(t, end))
+        return self.spans[-1]
+
+    def settle(self):
+        self._record()
+
+    def _record(self):
+        before, t = self.value_doubles.copy(), self._sent
+        super().settle()
+        if t >= 0 and t not in self.values:
+            self.values[t] = self.value_doubles - before
 
 
 def _check_traffic_against_oracle(rounds, d=12):
@@ -251,11 +283,13 @@ def _check_traffic_against_oracle(rounds, d=12):
     mix = build_mixing(make_adjacency("erdos_renyi", 7, p=0.4, seed=2))
     net = _Recording(mix.distances)
     _run_sparse(mix, rounds, d=d, q=5, variant="dsa", net=net)
-    last = max(net.arrivals)
-    values = {t: np.zeros(mix.n, dtype=np.int64) for t in net.arrivals}
+    # settled once at the end, as a run settles, the ledger counts the same
+    _, bulk = _run_sparse(mix, rounds, d=d, q=5, variant="dsa")
+    last = rounds - 1
+    values = {t: np.zeros(mix.n, dtype=np.int64) for t in range(rounds)}
     initial = np.zeros(mix.n, dtype=np.int64)
     metadata = np.zeros(mix.n, dtype=np.int64)
-    arrivals = {t: [set() for _ in range(mix.n)] for t in net.arrivals}
+    arrivals = {t: [set() for _ in range(mix.n)] for t in range(rounds)}
     assert [s for s, _ in net.sent] == list(range(-1, rounds))
     assert net.sent[0][1].tolist() == [2 * d] * mix.n
     for s, nnz in net.sent:
@@ -270,15 +304,22 @@ def _check_traffic_against_oracle(rounds, d=12):
                     # indices, plus origin and round tags
                     metadata[u] += value_doubles + 2
                     arrivals[t][u].add((origin, s))
-    for t, arr in net.arrivals.items():
+    # a span's arrivals, round by round: round s reaches u at s + dist
+    got = {t: [set() for _ in range(mix.n)] for t in range(rounds)}
+    for first, last_round in net.spans:
+        for u, o in np.argwhere(last_round != NO_PACKET):
+            for s in range(first[u, o], last_round[u, o] + 1):
+                got[s + mix.distances[o, u]][u].add((o, s))
+    assert got == arrivals
+    assert sorted(net.values) == list(range(rounds))
+    for t in range(rounds):
         assert np.array_equal(net.values[t], values[t])
-        assert [{(o, r) for o, r in enumerate(row) if r != NO_PACKET}
-                for row in arr.tolist()] == arrivals[t]
-    assert np.array_equal(net.value_doubles, sum(values.values()))
-    assert np.array_equal(net.max_round_values, np.max(list(values.values()), axis=0))
-    assert np.array_equal(net.initial_doubles, initial)
-    assert np.array_equal(net.metadata_doubles, metadata)
-    assert np.array_equal(net.received_doubles(), net.value_doubles + initial)
+    for n in (net, bulk):
+        assert np.array_equal(n.value_doubles, sum(values.values()))
+        assert np.array_equal(n.max_round_values, np.max(list(values.values()), axis=0))
+        assert np.array_equal(n.initial_doubles, initial)
+        assert np.array_equal(n.metadata_doubles, metadata)
+        assert np.array_equal(n.received_doubles(), n.value_doubles + initial)
     return mix, net
 
 
@@ -292,7 +333,7 @@ def test_run_inside_warmup_delivers_its_packets():
     for rounds in (1, 3):
         mix, net = _check_traffic_against_oracle(rounds)
         assert rounds < mix.distances.max()
-        assert max(net.arrivals) == rounds - 1
+        assert max(net.values) == rounds - 1
         assert 0 < net.initial_doubles.min() < (mix.n - 1) * 2 * 12
     assert net.value_doubles.sum() > 0
 
