@@ -12,9 +12,10 @@ they are the reference oracle, which only engine = generic runs.
 Conventions shared by every method:
 
 * Each node holds q single-sample operators B_{n,i} plus an l2 level lam.
-  The table stores the *unregularized* outputs phi_i = B_{n,i}(anchor), so
-  that per-round corrections delta keep the sample's sparsity pattern; the
-  lam*z part is handled analytically.
+  The table stores the *unregularized* outputs phi_i = B_{n,i}(anchor); the
+  lam*z part is handled analytically. The per-node steps keep every entry,
+  correction delta and B_i(z) as a dense dim-vector, and node n's samples
+  as a dense (q_n, d) block of the sample matrix's rows.
 * The variance-reduced estimate of the local mean operator at z is
   B_i(z) - phi_i + phibar + lam*z, which is unbiased over i.
 * Implicit update, round t >= 1:
@@ -37,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (COUNTERS, OperatorSpec, SampleMatrix, eval_component,
-                        kernel_auc, resolve_margins, resolve_regularized)
-from .sparse import SparseVec
+from .operators import (COUNTERS, SampleMatrix, eval_component, kernel_auc,
+                        resolve_margins, resolve_regularized)
 
 # samples each node draws from its stream at once; `rng.integers(q, size=k)`
 # gives the same values as k single draws
@@ -51,64 +51,50 @@ class AlgorithmError(ValueError):
 
 
 class PhiTable:
-    """Per-sample operator-output memory with a running mean.
+    """One node's operator-output memory: the entry phi_i of each of its q
+    samples as one dense (q, dim) array, and their running mean phibar."""
 
-    Entries keep the fixed support of their sample's operator output, so an
-    update produces a same-support sparse correction.
-    """
+    def __init__(self, entries: list[np.ndarray]):
+        self.val = np.array(entries, dtype=np.float64)
+        self.q, self.dim = self.val.shape
+        self.phibar = self.val.mean(axis=0)
 
-    def __init__(self, ops: list[OperatorSpec], z0: np.ndarray):
-        if not ops:
-            raise AlgorithmError("need at least one operator")
-        self.dim = ops[0].dim
-        self.q = len(ops)
-        comps = [eval_component(op, z0) for op in ops]
-        self.idx = [c.idx for c in comps]
-        self.val = [c.val.copy() for c in comps]
-        self.phibar = np.zeros(self.dim)
-        for c in comps:
-            c.add_into(self.phibar, 1.0 / self.q)
-
-    def lookup(self, i: int) -> SparseVec:
-        return SparseVec(self.idx[i], self.val[i], self.dim)
-
-    def update(self, i: int, new: SparseVec) -> SparseVec:
+    def update(self, i: int, new: np.ndarray) -> np.ndarray:
         """Replace entry i, fold the change into the mean, return the change."""
-        if new.idx.shape != self.idx[i].shape or not np.array_equal(new.idx, self.idx[i]):
-            raise AlgorithmError("table update must keep the entry's support")
-        dval = new.val - self.val[i]
-        self.phibar[self.idx[i]] += dval / self.q
-        self.val[i] = new.val.copy()
-        return SparseVec(self.idx[i], dval, self.dim)
+        delta = new - self.val[i]
+        self.phibar += delta / self.q
+        self.val[i] = new
+        return delta
 
-    def distance_to(self, targets: list[SparseVec]) -> float:
-        """sum_i ||phi_i - target_i||^2 over same-support targets."""
-        total = 0.0
-        for i, tgt in enumerate(targets):
-            diff = self.val[i] - tgt.val
-            total += float(diff @ diff)
-        return total
+    def distance_to(self, targets: np.ndarray) -> float:
+        """sum_i ||phi_i - target_i||^2 against a (q, dim) array of targets."""
+        return float(np.sum((self.val - targets) ** 2))
 
 
 @dataclass
 class NodeState:
-    """Everything one node carries between rounds."""
+    """Everything one node carries between rounds: its samples as a dense
+    (q, d) row block X with labels y, and its table, anchored at z."""
 
     node: int
-    ops: list[OperatorSpec]
-    table: PhiTable
+    family: str
+    X: np.ndarray
+    y: np.ndarray
+    p: float | None  # positive-class ratio, auc only
     alpha: float
     lam: float
     rng: np.random.Generator
     z: np.ndarray
+    table: PhiTable = field(init=False)
     z_prev: np.ndarray = field(init=False)
-    delta_prev: SparseVec = field(init=False)
+    delta_prev: np.ndarray = field(init=False)
     t: int = field(default=0, init=False)
 
     def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=np.float64)
+        self.z = np.array(self.z, dtype=np.float64)
         self.z_prev = self.z.copy()
-        self.delta_prev = SparseVec.zero(self.table.dim)
+        self.table = PhiTable([self.component(i, self.z) for i in range(len(self.y))])
+        self.delta_prev = np.zeros(self.table.dim)
 
     @property
     def q(self) -> int:
@@ -117,12 +103,17 @@ class NodeState:
     def draw(self) -> int:
         return int(self.rng.integers(self.q))
 
+    def component(self, i: int, z: np.ndarray) -> np.ndarray:
+        """B_i(z) of the node's sample i, dense."""
+        return eval_component(self.family, self.X[i], self.y[i], z, self.p)
 
-def make_node(node: int, ops: list[OperatorSpec], alpha: float, lam: float,
+
+def make_node(node: int, samples: SampleMatrix, alpha: float, lam: float,
               z0: np.ndarray, seed: int) -> NodeState:
-    rng = np.random.default_rng([seed, node])
-    return NodeState(node, ops, PhiTable(ops, z0), alpha, lam, rng,
-                     np.array(z0, dtype=np.float64))
+    """Node `node` of the sample matrix, its rows read off as a dense block."""
+    rows = np.flatnonzero(samples.row_node == node)
+    return NodeState(node, samples.family, samples.X[rows].toarray(), samples.y[rows],
+                     samples.p, alpha, lam, np.random.default_rng([seed, node]), z0)
 
 
 def compute_psi(state: NodeState, mixed: np.ndarray, i: int) -> np.ndarray:
@@ -134,15 +125,14 @@ def compute_psi(state: NodeState, mixed: np.ndarray, i: int) -> np.ndarray:
     table, alpha = state.table, state.alpha
     if state.t == 0:
         psi = mixed - alpha * table.phibar
-        table.lookup(i).add_into(psi, alpha)
     else:
         psi = mixed + (alpha * state.lam) * state.z
-        state.delta_prev.add_into(psi, alpha * (table.q - 1) / table.q)
-        table.lookup(i).add_into(psi, alpha)
+        psi += (alpha * (table.q - 1) / table.q) * state.delta_prev
+    psi += alpha * table.val[i]
     return psi
 
 
-def _advance(state: NodeState, z_next: np.ndarray, delta: SparseVec) -> None:
+def _advance(state: NodeState, z_next: np.ndarray, delta: np.ndarray) -> None:
     state.z_prev = state.z
     state.z = z_next
     state.delta_prev = delta
@@ -153,8 +143,9 @@ def dsba_node_step(state: NodeState, mixed: np.ndarray):
     """One implicit round: returns (z_next, delta, i)."""
     i = state.draw()
     psi = compute_psi(state, mixed, i)
-    z_next = resolve_regularized(state.ops[i], state.alpha, psi)
-    delta = state.table.update(i, eval_component(state.ops[i], z_next))
+    z_next = resolve_regularized(state.family, state.X[i], state.y[i], state.alpha,
+                                 state.lam, psi, state.p)
+    delta = state.table.update(i, state.component(i, z_next))
     _advance(state, z_next, delta)
     return z_next, delta, i
 
@@ -163,15 +154,14 @@ def dsa_node_step(state: NodeState, mixed: np.ndarray):
     """One explicit round: returns (z_next, delta, i)."""
     i = state.draw()
     alpha, lam, q = state.alpha, state.lam, state.q
+    # the table was anchored at z^0, so at t = 0 this correction is exactly zero
+    delta = state.table.update(i, state.component(i, state.z))
     if state.t == 0:
-        # table was anchored at z^0, so the round-0 correction is exactly zero
-        delta = state.table.update(i, eval_component(state.ops[i], state.z))
         z_next = mixed - alpha * (state.table.phibar + lam * state.z)
     else:
-        delta = state.table.update(i, eval_component(state.ops[i], state.z))
         z_next = mixed - (alpha * lam) * (state.z - state.z_prev)
-        state.delta_prev.add_into(z_next, alpha * (q - 1) / q)
-        delta.add_into(z_next, -alpha)
+        z_next += (alpha * (q - 1) / q) * state.delta_prev
+        z_next -= alpha * delta
     _advance(state, z_next, delta)
     return z_next, delta, i
 

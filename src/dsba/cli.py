@@ -18,8 +18,7 @@ import numpy as np
 
 from . import dataset as ds
 from .algorithms import PhiTable
-from .operators import (eval_component, eval_operator, make_operator,
-                        resolve_regularized)
+from .operators import eval_component, resolve_regularized
 from .simulator import (ConfigError, RunConfig, SyntheticSpec, manifest_json,
                         run)
 from .topology import (TopologyError, adjacency_erdos_renyi, build_mixing,
@@ -181,18 +180,18 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
         for _ in range(100):
             d = int(rng.integers(3, 25))
             nnz = int(rng.integers(1, d + 1))
-            idx = np.sort(rng.choice(d, size=nnz, replace=False)).astype(np.int64)
+            idx = np.sort(rng.choice(d, size=nnz, replace=False))
             val = rng.normal(size=nnz)
-            val /= np.linalg.norm(val)
+            a = np.zeros(d)
+            a[idx] = val / np.linalg.norm(val)
             label = float(rng.choice([-1.0, 1.0])) if family != "ridge" else float(rng.normal())
-            op = make_operator(family, ds.Sample(idx, val, label),
-                               float(rng.uniform(0, 0.3)), d,
-                               float(rng.uniform(0.2, 0.8)) if family == "auc" else None)
+            lam = float(rng.uniform(0, 0.3))
+            p = float(rng.uniform(0.2, 0.8)) if family == "auc" else None
             alpha = float(rng.uniform(1e-3, 5.0))
-            psi = 2.0 * rng.normal(size=op.dim)
-            z = resolve_regularized(op, alpha, psi)
-            res = float(np.linalg.norm(z + alpha * eval_operator(op, z) - psi))
-            worst[family] = max(worst[family], res)
+            psi = 2.0 * rng.normal(size=d + 3 if family == "auc" else d)
+            z = resolve_regularized(family, a, label, alpha, lam, psi, p)
+            B = eval_component(family, a, label, z, p) + lam * z
+            worst[family] = max(worst[family], float(np.linalg.norm(z + alpha * B - psi)))
         checks.append((f"resolvent identity ({family})", worst[family] <= 1e-9,
                        f"worst residual {worst[family]:.2e}"))
 
@@ -200,19 +199,16 @@ def _validate_checks() -> list[tuple[str, bool, str]]:
     ok = True
     for _ in range(20):
         d, q = 12, 7
-        ops = []
+        X, y = [], []
         for _ in range(q):
-            val = rng.normal(size=d)
-            val /= np.linalg.norm(val)
-            ops.append(make_operator("ridge", ds.Sample(np.arange(d), val,
-                                                        float(rng.normal())), 0.1, d))
-        z0 = rng.normal(size=d)
-        table = PhiTable(ops, z0)
-        z = rng.normal(size=d)
-        mean_est = sum(
-            eval_component(ops[i], z).to_dense() - table.lookup(i).to_dense()
-            for i in range(q)) / q + table.phibar + 0.1 * z
-        true = sum(eval_component(op, z).to_dense() for op in ops) / q + 0.1 * z
+            a = rng.normal(size=d)
+            X.append(a / np.linalg.norm(a))
+            y.append(float(rng.normal()))
+        z0, z = rng.normal(size=d), rng.normal(size=d)
+        table = PhiTable([eval_component("ridge", a, b, z0) for a, b in zip(X, y)])
+        B = np.array([eval_component("ridge", a, b, z) for a, b in zip(X, y)])
+        mean_est = (B - table.val).sum(axis=0) / q + table.phibar + 0.1 * z
+        true = B.sum(axis=0) / q + 0.1 * z
         if np.abs(mean_est - true).max() > 1e-10:
             ok = False
     checks.append(("history-table estimator unbiasedness", ok, ""))

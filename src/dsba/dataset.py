@@ -22,15 +22,6 @@ class DatasetError(ValueError):
 
 
 @dataclass
-class Sample:
-    """One row as its own arrays: the view a per-sample operator takes."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    label: float
-
-
-@dataclass
 class Rows:
     """The dataset: one CSR row per sample, with its label and line."""
 

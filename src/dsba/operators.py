@@ -8,8 +8,8 @@ Three families are supported, each binding one data sample:
                dimension d+3                           (closed-form resolvent)
 
 Every resolvent reduces to one scalar equation in the output margin a'z_out;
-the kernels below solve it for a batch of rows at once, and the per-sample
-`resolvent` is their one-row case.
+the kernels below solve it for a batch of rows at once, and
+`resolve_regularized` is their one-row case.
 
 The l2 level `lam` is never baked into the family resolvents; it is applied
 through the rescaling identity J_{alpha(B+lam I)}(z) = J_{rho alpha B}(rho z)
@@ -17,20 +17,19 @@ with rho = 1/(1 + lam*alpha), so the closed forms above stay exact.
 
 `SampleMatrix` wraps the CSR rows of a problem's shards and evaluates every
 component at once; `lipschitz_bound` reads every row's bound off it. The
-per-sample `eval_component`, on a one-row `Sample`, is its tested reference
+one-sample `eval_component`, on a dense feature row, is its tested reference
 and the per-node engine's path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .dataset import Sample, Shards, row_sq_norms
-from .sparse import SparseVec
+from .dataset import Shards, row_sq_norms
 
 FAMILIES = ("ridge", "logistic", "auc")
 
@@ -55,76 +54,35 @@ def reset_counters() -> dict:
     return snapshot
 
 
-@dataclass
-class OperatorSpec:
-    family: str
-    sample: Sample
-    lam: float
-    dim: int
-    p: float | None = None  # positive-class ratio, auc only
-    na2: float = field(init=False, repr=False)  # squared sample norm
+def eval_component(family: str, a: np.ndarray, y: float, z: np.ndarray,
+                   p: float | None = None) -> np.ndarray:
+    """B(z) of the one-sample operator on the dense feature row a with label
+    y, unregularized, as a dense vector.
 
-    def __post_init__(self):
-        self.na2 = float(self.sample.values @ self.sample.values)
-        if self.family not in FAMILIES:
-            raise OperatorError(f"unknown family {self.family!r}")
-        if self.family == "auc":
-            if self.p is None or not (0.0 < self.p < 1.0):
-                raise OperatorError("auc requires positive ratio p in (0, 1)")
-            if self.sample.label not in (-1.0, 1.0):
-                raise OperatorError("auc requires labels in {-1, +1}")
-
-    @property
-    def d_features(self) -> int:
-        return self.dim - 3 if self.family == "auc" else self.dim
-
-
-def make_operator(family: str, sample: Sample, lam: float, d: int, p=None) -> OperatorSpec:
-    dim = d + 3 if family == "auc" else d
-    return OperatorSpec(family, sample, lam, dim, p)
-
-
-def _check_dim(op: OperatorSpec, z: np.ndarray) -> None:
-    if len(z) != op.dim:
-        raise OperatorError(f"dimension mismatch: got {len(z)}, operator wants {op.dim}")
-
-
-def eval_component(op: OperatorSpec, z: np.ndarray) -> SparseVec:
-    """Unregularized operator output as a sparse vector.
-
-    Support is the sample support, plus for auc the three trailing
-    coordinates relevant to the sample's sign.
+    It is zero off a's support, except for auc's two tail coordinates of
+    the sample's sign: its offset and theta.
     """
-    _check_dim(op, z)
     COUNTERS["component_evals"] += 1
-    s = op.sample
-    if op.family == "ridge":
-        coef = s.values @ z[s.indices] - s.label
-        return SparseVec(s.indices, coef * s.values, op.dim)
-    if op.family == "logistic":
-        margin = s.label * (s.values @ z[s.indices])
-        coef = -s.label * expit(-margin)
-        return SparseVec(s.indices, coef * s.values, op.dim)
-    # auc
-    d = op.d_features
-    p = op.p
-    sw = s.values @ z[s.indices]
-    a_off, b_off, theta = z[d], z[d + 1], z[d + 2]
-    if s.label > 0:
-        coef = 2.0 * (1 - p) * ((sw - a_off) - (1 + theta))
-        tail_idx = np.array([d, d + 2], dtype=np.int64)
-        tail_val = np.array(
-            [-2.0 * (1 - p) * (sw - a_off), 2.0 * p * (1 - p) * theta + 2.0 * (1 - p) * sw]
-        )
+    d = len(a)
+    m = a @ z[:d]
+    if family == "ridge":
+        return (m - y) * a
+    if family == "logistic":
+        return (-y * expit(-(y * m))) * a
+    if family != "auc":
+        raise OperatorError(f"unknown family {family!r}")
+    a_off, b_off, theta = z[d:]
+    out = np.empty(d + 3)
+    if y > 0:
+        coef = 2.0 * (1 - p) * ((m - a_off) - (1 + theta))
+        out[d:] = (-2.0 * (1 - p) * (m - a_off), 0.0,
+                   2.0 * p * (1 - p) * theta + 2.0 * (1 - p) * m)
     else:
-        coef = 2.0 * p * ((sw - b_off) + (1 + theta))
-        tail_idx = np.array([d + 1, d + 2], dtype=np.int64)
-        tail_val = np.array(
-            [-2.0 * p * (sw - b_off), 2.0 * p * (1 - p) * theta - 2.0 * p * sw]
-        )
-    idx = np.concatenate([s.indices, tail_idx])
-    val = np.concatenate([coef * s.values, tail_val])
-    return SparseVec(idx, val, op.dim)
+        coef = 2.0 * p * ((m - b_off) + (1 + theta))
+        out[d:] = (0.0, -2.0 * p * (m - b_off),
+                   2.0 * p * (1 - p) * theta - 2.0 * p * m)
+    out[:d] = coef * a
+    return out
 
 
 @dataclass(frozen=True)
@@ -200,13 +158,6 @@ class SampleMatrix:
         return coef, tails
 
 
-def eval_operator(op: OperatorSpec, z: np.ndarray) -> np.ndarray:
-    """Regularized operator B(z) + lam*z, dense."""
-    out = op.lam * np.asarray(z, dtype=np.float64)
-    eval_component(op, z).add_into(out)
-    return out
-
-
 def kernel_ridge(m, na2, y, alpha):
     """Ridge resolvent in margin form: s = a'z_out solves
     s + alpha*||a||^2 (s - y) = m, and the output coefficient is s - y."""
@@ -278,9 +229,9 @@ def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
     reads psi's tail). The output is psi - alpha*e*a on the features and,
     for auc, the returned tail on the last three coordinates.
 
-    Returns (e, tail or None). `resolvent` is its one-row case; the batched
-    round calls it for ridge and logistic, and `kernel_auc` itself with the
-    sample matrix's per-row constants."""
+    Returns (e, tail or None). `resolve_regularized` is its one-row case;
+    the batched round calls it for ridge and logistic, and `kernel_auc`
+    itself with the sample matrix's per-row constants."""
     if family == "ridge":
         return kernel_ridge(m, na2, y, alpha), None
     if family == "logistic":
@@ -298,34 +249,20 @@ def resolve_margins(family: str, m, na2, y, alpha: float, tail=None,
     return e, out
 
 
-def resolvent(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:
-    """Resolvent of the unregularized family operator, J_{alpha B}(psi)."""
-    if alpha <= 0:
-        raise OperatorError("alpha must be positive")
-    _check_dim(op, psi)
+def resolve_regularized(family: str, a: np.ndarray, y: float, alpha: float, lam: float,
+                        psi: np.ndarray, p: float | None = None) -> np.ndarray:
+    """J_{alpha (B + lam I)}(psi) for the one-sample operator B on the dense
+    feature row a with label y: `resolve_margins`' one-row case at
+    J_{rho alpha B}(rho psi), rho = 1/(1 + lam*alpha)."""
     COUNTERS["resolves"] += 1
-    s, d = op.sample, op.d_features
-    e, tail = resolve_margins(op.family, float(s.values @ psi[s.indices]), op.na2,
-                              s.label, alpha, psi[d:], op.p)
-    out = psi.copy()
-    out[s.indices] -= alpha * e * s.values
+    rho = 1.0 - lam * alpha / (1.0 + lam * alpha)
+    ra, out = rho * alpha, rho * np.asarray(psi, dtype=np.float64)
+    d = len(a)
+    e, tail = resolve_margins(family, a @ out[:d], a @ a, y, ra, out[d:], p)
+    out[:d] -= ra * e * a
     if tail is not None:
         out[d:] = tail
     return out
-
-
-def wrap_l2_resolvent(resolvent_of_b, lam: float, alpha: float, z: np.ndarray) -> np.ndarray:
-    """Resolvent of B + lam*I from the resolvent of B:
-    J_{alpha(B+lam I)}(z) = J_{rho alpha B}(rho z), rho = 1/(1 + lam*alpha)."""
-    if lam < 0:
-        raise OperatorError("lam must be nonnegative")
-    rho = 1.0 - lam * alpha / (1.0 + lam * alpha)
-    return resolvent_of_b(rho * alpha, rho * np.asarray(z, dtype=np.float64))
-
-
-def resolve_regularized(op: OperatorSpec, alpha: float, psi: np.ndarray) -> np.ndarray:
-    """J_{alpha (B + lam I)}(psi) for the spec's own lam."""
-    return wrap_l2_resolvent(lambda a, z: resolvent(op, a, z), op.lam, alpha, psi)
 
 
 def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
@@ -336,7 +273,7 @@ def lipschitz_bound(samples: SampleMatrix, lam: float) -> np.ndarray:
     its norm is the spectral norm of a 3x3 matrix in that basis, taken for
     all rows in one batched norm.
     """
-    na2 = row_sq_norms(samples.X)  # bitwise OperatorSpec.na2
+    na2 = row_sq_norms(samples.X)  # bitwise each row's values' v @ v
     if samples.family == "ridge":
         return na2 + lam
     if samples.family == "logistic":

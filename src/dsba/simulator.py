@@ -22,9 +22,8 @@ from . import dataset as ds
 from .algorithms import (BatchedTable, NodeState, dsa_node_step, dsba_node_step,
                          extra_round, local_mean_operator, make_node,
                          step_size_bound)
-from .operators import (COUNTERS, FAMILIES, OperatorSpec, SampleMatrix, eval_component,
-                        lipschitz_bound, make_operator, reset_counters)
-from .sparse import SparseVec
+from .operators import (COUNTERS, FAMILIES, SampleMatrix, eval_component,
+                        lipschitz_bound, reset_counters)
 from .sparsecomm import Network, run_sparse, traffic_summary
 from .topology import MixingMatrix, build_mixing, laplacian, make_adjacency
 
@@ -55,8 +54,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in ("ridge", "classification"):
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
         if not 1 <= (self.nnz or self.d) <= self.d:
             raise ConfigError("nnz must be in [1, d]")
+        if not np.isfinite(self.noise):
+            raise ConfigError("noise must be finite")
         # rows and w* are unit vectors, so |cos| <= 1 and margin >= 1 rejects every row
         if not 0.0 <= self.margin < 1.0:
             raise ConfigError("margin must be in [0, 1)")
@@ -101,22 +104,15 @@ def synthetic_samples(spec: SyntheticSpec) -> ds.Rows:
 
 @dataclass
 class Problem:
-    """The shards and the sample matrix that wraps their rows. The per-sample
-    operators `ops`, on one-row views, are built on first read, which only
-    the per-node reference oracle (engine = generic) makes."""
+    """The shards and the sample matrix that wraps their rows. The per-node
+    reference oracle (engine = generic) reads each node's rows off
+    `samples` as a dense block (`make_node`)."""
 
     family: str
     shards: ds.Shards
     lam: float
     dim: int
     samples: SampleMatrix
-
-    @functools.cached_property
-    def ops(self) -> list[list[OperatorSpec]]:
-        S, ptr = self.samples, self.samples.X.indptr
-        ops = [make_operator(self.family, ds.Sample(S.X.indices[a:b], S.X.data[a:b], y),
-                             self.lam, S.d, S.p) for a, b, y in zip(ptr, ptr[1:], S.y.tolist())]
-        return [ops[a:a + q] for a, q in zip(S.starts, self.shards.sizes)]
 
     @property
     def n_nodes(self) -> int:
@@ -297,8 +293,10 @@ class RunConfig:
             raise ConfigError("pointsaga requires n_nodes = 1")
         if self.comm == "sparse" and self.variant not in ("dsba", "dsa"):
             raise ConfigError("sparse communication supports dsba and dsa only")
-        if self.tau_scale < 1.0:
-            raise ConfigError("tau_scale below 1 violates the mixing spectrum bound")
+        if not 1.0 <= self.tau_scale < np.inf:
+            raise ConfigError("tau_scale must be finite and >= 1 (the mixing spectrum bound)")
+        if self.stop_subopt is not None and not self.stop_subopt >= 0.0:
+            raise ConfigError("stop_subopt must be >= 0")
         if self.track_lyapunov and self.variant == "extra":
             raise ConfigError("lyapunov tracking needs per-sample tables "
                               "(dsba/dsa/pointsaga)")
@@ -390,10 +388,13 @@ class LyapunovTracker:
         self.history: list[tuple[int, float]] = []
 
     @functools.cached_property
-    def node_targets(self) -> list[list[SparseVec]]:
-        """B_{n,i}(z*) per node and sample, in the per-node tables' form."""
-        return [[eval_component(op, self.z_star) for op in ops_n]
-                for ops_n in self.problem.ops]
+    def node_targets(self) -> list[np.ndarray]:
+        """B_{n,i}(z*) per node, one dense (q_n, dim) array each: the
+        per-node tables' form."""
+        S, z = self.problem.samples, self.z_star
+        B = np.array([eval_component(S.family, a, y, z, S.p)
+                      for a, y in zip(S.X.toarray(), S.y)])
+        return np.split(B, S.starts[1:])
 
     @functools.cached_property
     def row_targets(self) -> tuple[np.ndarray, np.ndarray | None]:
@@ -575,8 +576,8 @@ def run(config: RunConfig) -> RunResult:
         Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
     else:
         # every engine's table starts anchored at Z0, and gives round 0's entry
-        table = ([make_node(n, ops_n, alpha, lam, z0, config.seed)
-                  for n, ops_n in enumerate(problem.ops)] if engine == "generic"
+        table = ([make_node(n, problem.samples, alpha, lam, z0, config.seed)
+                  for n in range(config.n_nodes)] if engine == "generic"
                  else BatchedTable(problem.samples, Z0, config.seed))
         if tracker is not None:
             tracker.update(0, Z0, table)

@@ -22,28 +22,31 @@ from dsba import (
     check_mixing_conditions,
     dsba_node_step,
     dsa_node_step,
+    eval_component,
     make_adjacency,
     make_node,
-    make_operator,
     partition,
     reference_solution,
     resolve_regularized,
-    resolvent,
     run,
     synthetic_samples,
 )
-from dsba.operators import eval_component, eval_operator
-from dsba.sparse import SparseVec
+from dsba.algorithms import NodeState
+from dsba.dataset import row_sq_norms
 
 
 def _rand_sample_dense(rng, d):
-    from dsba.dataset import Sample
-
-    idx = np.arange(d)
+    """A dense unit row and a +-1 label."""
     val = rng.standard_normal(d)
     val /= np.linalg.norm(val)
     y = 1.0 if rng.random() < 0.5 else -1.0
-    return Sample(indices=idx, values=val, label=y)
+    return val, y
+
+
+def _ridge_node(rows, alpha, lam, z0, seed):
+    """Node 0 of the given (row, label) ridge samples, its table anchored at z0."""
+    X, y = map(np.array, zip(*rows))
+    return NodeState(0, "ridge", X, y, None, alpha, lam, np.random.default_rng([seed, 0]), z0)
 
 
 # ---------------------------------------------------------------------------
@@ -99,19 +102,18 @@ def test_resolvent_fixed_point_identity(family, tol):
     for _ in range(1000):
         d = int(rng.integers(3, 12))
         dim = d + 3 if family == "auc" else d
-        sample = _rand_sample_dense(rng, d)
+        a, y = _rand_sample_dense(rng, d)
         lam = float(rng.uniform(0.01, 1.0))
         alpha = float(rng.uniform(0.01, 2.0))
         p = float(rng.uniform(0.2, 0.8)) if family == "auc" else None
-        op = make_operator(family, sample, lam, d, p=p)
         z = rng.standard_normal(dim)
         # component resolvent: u + alpha * B_i(u) recovers z
-        u = resolvent(op, alpha, z)
-        res = u + alpha * eval_component(op, u).to_dense() - z
+        u = resolve_regularized(family, a, y, alpha, 0.0, z, p)
+        res = u + alpha * eval_component(family, a, y, u, p) - z
         worst = max(worst, float(np.max(np.abs(res))))
         # regularized resolvent: u + alpha * (B_i(u) + lam * u) recovers z
-        u = resolve_regularized(op, alpha, z)
-        res = u + alpha * eval_operator(op, u) - z
+        u = resolve_regularized(family, a, y, alpha, lam, z, p)
+        res = u + alpha * (eval_component(family, a, y, u, p) + lam * u) - z
         worst = max(worst, float(np.max(np.abs(res))))
     assert worst <= tol, worst
     assert time.time() - t0 < 10.0
@@ -128,18 +130,15 @@ def test_history_table_summation_identity():
         d = int(rng.integers(3, 10))
         q = int(rng.integers(2, 12))
         samples = [_rand_sample_dense(rng, d) for _ in range(q)]
-        lam = 0.1
-        ops = [make_operator("ridge", s, lam, d) for s in samples]
-        node = make_node(0, ops, alpha=0.1, lam=lam, z0=rng.standard_normal(d), seed=int(rng.integers(1 << 30)))
+        node = _ridge_node(samples, alpha=0.1, lam=0.1, z0=rng.standard_normal(d),
+                           seed=int(rng.integers(1 << 30)))
         # mutate the table a few times
         for _ in range(10):
             i = int(rng.integers(q))
-            idx = node.table.lookup(i).idx
-            new = SparseVec(idx, rng.standard_normal(d)[idx], d)
-            node.table.update(i, new)
+            node.table.update(i, rng.standard_normal(d))
         total = np.zeros(d)
         for i in range(q):
-            node.table.lookup(i).add_into(total, 1.0 / q)
+            total += node.table.val[i] / q
         assert np.max(np.abs(total - node.table.phibar)) <= 1e-10
 
 
@@ -154,17 +153,17 @@ def test_node_step_back_substitution():
         q = int(rng.integers(2, 8))
         samples = [_rand_sample_dense(rng, d) for _ in range(q)]
         alpha = float(rng.uniform(0.01, 0.5))
-        ops = [make_operator("ridge", s, 0.0, d) for s in samples]
-        node = make_node(0, ops, alpha=alpha, lam=0.0, z0=rng.standard_normal(d), seed=checked)
+        node = _ridge_node(samples, alpha=alpha, lam=0.0, z0=rng.standard_normal(d),
+                           seed=checked)
         # run a few warm-up steps against a synthetic mixed signal
         for _ in range(int(rng.integers(1, 5))):
             mixed = node.z + 0.1 * rng.standard_normal(d)
             dsba_node_step(node, mixed)
         mixed = node.z + 0.1 * rng.standard_normal(d)
         q_node = node.q
-        delta_prev = node.delta_prev.to_dense()
+        delta_prev = node.delta_prev
         z_next, delta, _ = dsba_node_step(node, mixed)
-        rhs = mixed + alpha * ((q_node - 1) / q_node * delta_prev - delta.to_dense())
+        rhs = mixed + alpha * ((q_node - 1) / q_node * delta_prev - delta)
         assert np.max(np.abs(z_next - rhs)) <= 1e-9
         checked += 1
 
@@ -177,16 +176,16 @@ def test_node_step_back_substitution_with_ridge():
         d, q = 5, 6
         samples = [_rand_sample_dense(rng, d) for _ in range(q)]
         alpha, lam = 0.2, 0.3
-        ops = [make_operator("ridge", s, lam, d) for s in samples]
-        node = make_node(0, ops, alpha=alpha, lam=lam, z0=rng.standard_normal(d), seed=1000 + trial)
+        node = _ridge_node(samples, alpha=alpha, lam=lam, z0=rng.standard_normal(d),
+                           seed=1000 + trial)
         for _ in range(3):
             dsba_node_step(node, node.z + 0.1 * rng.standard_normal(d))
         mixed = node.z + 0.1 * rng.standard_normal(d)
         z_t = node.z.copy()
-        delta_prev = node.delta_prev.to_dense()
+        delta_prev = node.delta_prev
         q_node = node.q
         z_next, delta, _ = dsba_node_step(node, mixed)
-        rhs = mixed + alpha * ((q_node - 1) / q_node * delta_prev - delta.to_dense())
+        rhs = mixed + alpha * ((q_node - 1) / q_node * delta_prev - delta)
         rhs = rhs + alpha * lam * (z_t - z_next)
         assert np.max(np.abs(z_next - rhs)) <= 1e-9
 
@@ -212,7 +211,7 @@ def test_single_node_matches_pointsaga_bitwise():
         assert len(result.trajectory) == rounds + 1
 
         problem = result.problem
-        node = make_node(0, problem.ops[0], alpha=result.alpha, lam=result.lam,
+        node = make_node(0, problem.samples, alpha=result.alpha, lam=result.lam,
                          z0=np.zeros(problem.dim), seed=seed)
         for t in range(rounds):
             if t == 0:
@@ -287,10 +286,7 @@ def test_sparse_protocol_matches_dense(variant, graph):
     shards = partition(samples, N, seed=21)
     lam = 0.05
     problem = build_problem(shards, "ridge", lam=lam)
-    L = max(
-        max(float(np.linalg.norm(op.sample.values)) ** 2 + lam for op in ops)
-        for ops in problem.ops
-    )
+    L = float(row_sq_norms(problem.samples.X).max()) + lam
     alpha = 1.0 / (24.0 * L)
 
     rounds = 300
@@ -299,7 +295,7 @@ def test_sparse_protocol_matches_dense(variant, graph):
 
     def fresh_states():
         return [
-            make_node(n, problem.ops[n], alpha=alpha, lam=lam, z0=z0[n].copy(), seed=33)
+            make_node(n, problem.samples, alpha=alpha, lam=lam, z0=z0[n].copy(), seed=33)
             for n in range(N)
         ]
 
@@ -516,20 +512,14 @@ def test_auc_score_matches_brute_force():
     for _ in range(20):
         d = int(rng.integers(3, 8))
         Q = int(rng.integers(10, 51))
-        samples = [_rand_sample_dense(rng, d) for _ in range(Q)]
-        labels = [s.label for s in samples]
+        X, labels = map(np.array, zip(*[_rand_sample_dense(rng, d) for _ in range(Q)]))
         if all(y > 0 for y in labels) or all(y < 0 for y in labels):
-            samples[0] = samples[0].__class__(
-                indices=samples[0].indices,
-                values=samples[0].values,
-                label=-labels[0],
-            )
+            labels[0] = -labels[0]
         w = rng.standard_normal(d)
-        fast = auc_score(w, np.stack([s.values for s in samples]),
-                         np.array([s.label for s in samples]))
-        scores = [float(w @ s.values) for s in samples]
-        pos = [sc for sc, s in zip(scores, samples) if s.label > 0]
-        neg = [sc for sc, s in zip(scores, samples) if s.label < 0]
+        fast = auc_score(w, X, labels)
+        scores = [float(w @ a) for a in X]
+        pos = [sc for sc, y in zip(scores, labels) if y > 0]
+        neg = [sc for sc, y in zip(scores, labels) if y < 0]
         total = 0.0
         for a in pos:
             for b in neg:

@@ -15,33 +15,32 @@ from dsba.algorithms import (
     node_means,
     step_size_bound,
 )
-from dsba.dataset import Sample, Shards
-from dsba.operators import (SampleMatrix, eval_component, kernel_auc, make_operator,
-                            resolve_regularized)
+from dsba.dataset import Shards
+from dsba.operators import SampleMatrix, eval_component, kernel_auc, resolve_regularized
 from dsba.simulator import _run_dense_generic
-from dsba.sparse import SparseVec
 from dsba.topology import build_mixing, make_adjacency
 
 
-def _ops(rng, d, q, lam=0.1, family="ridge"):
-    ops = []
-    for _ in range(q):
-        idx = np.sort(rng.choice(d, size=min(3, d), replace=False)).astype(np.int64)
+def _pm1(rng, k):
+    return 1.0 if rng.random() < 0.5 else -1.0
+
+
+def _rows(rng, d, q, label=_pm1):
+    """q unit rows with three random nonzeros each, as a dense block, and
+    their labels, row k's drawn after its values by `label(rng, k)`."""
+    X, y = np.zeros((q, d)), np.empty(q)
+    for k in range(q):
+        idx = np.sort(rng.choice(d, size=min(3, d), replace=False))
         val = rng.standard_normal(len(idx))
-        val /= np.linalg.norm(val)
-        label = 1.0 if rng.random() < 0.5 else -1.0
-        ops.append(make_operator(family, Sample(idx, val, label), lam, d))
-    return ops
+        X[k, idx] = val / np.linalg.norm(val)
+        y[k] = label(rng, k)
+    return X, y
 
 
-def _shards(samples, d, sizes):
-    """The rows of the given one-row views, stacked in node order."""
-    X = sp.csr_array((np.concatenate([s.values for s in samples]),
-                      np.concatenate([s.indices for s in samples]),
-                      np.cumsum([0] + [len(s.indices) for s in samples])),
-                     shape=(len(samples), d))
-    return Shards(X, np.array([s.label for s in samples]), np.arange(len(samples)),
-                  np.array(sizes))
+def _samples(X, y, sizes, family="ridge", p=None):
+    """The sample matrix of the dense rows X, stacked in node order."""
+    shards = Shards(sp.csr_array(X), y, np.arange(len(y)), np.array(sizes))
+    return SampleMatrix.from_shards(family, shards, p)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 7, 30, 1000, 2**20, 2**31 - 1])
@@ -59,37 +58,24 @@ def test_block_draws_match_single_draws(q):
 def test_phitable_initialization():
     rng = np.random.default_rng(0)
     d, q = 6, 5
-    ops = _ops(rng, d, q)
+    X, y = _rows(rng, d, q)
     z0 = rng.standard_normal(d)
-    table = PhiTable(ops, z0)
-    expect = np.zeros(d)
-    for op in ops:
-        eval_component(op, z0).add_into(expect, 1.0 / q)
-    assert np.allclose(table.phibar, expect)
-    for i, op in enumerate(ops):
-        assert np.allclose(table.lookup(i).to_dense(), eval_component(op, z0).to_dense())
+    node = make_node(0, _samples(X, y, [q]), 0.1, 0.1, z0, seed=0)
+    comps = [eval_component("ridge", a, b, z0) for a, b in zip(X, y)]
+    assert np.allclose(node.table.phibar, sum(comps) / q)
+    assert np.allclose(node.table.val, comps)
 
 
 def test_phitable_update_maintains_mean():
     rng = np.random.default_rng(1)
     d, q = 6, 4
-    ops = _ops(rng, d, q)
-    table = PhiTable(ops, rng.standard_normal(d))
-    z_new = rng.standard_normal(d)
-    delta = table.update(2, eval_component(ops[2], z_new))
-    expect = np.zeros(d)
-    for i in range(q):
-        table.lookup(i).add_into(expect, 1.0 / q)
-    assert np.allclose(table.phibar, expect, atol=1e-14)
-    assert delta.idx is not None
-
-
-def test_phitable_update_rejects_support_change():
-    rng = np.random.default_rng(2)
-    ops = _ops(rng, 6, 3)
-    table = PhiTable(ops, np.zeros(6))
-    with pytest.raises(AlgorithmError):
-        table.update(0, SparseVec(np.arange(6), np.ones(6), 6))
+    X, y = _rows(rng, d, q)
+    z0 = rng.standard_normal(d)
+    table = PhiTable([eval_component("ridge", a, b, z0) for a, b in zip(X, y)])
+    old = table.val[2].copy()
+    delta = table.update(2, eval_component("ridge", X[2], y[2], rng.standard_normal(d)))
+    assert np.allclose(table.phibar, table.val.mean(axis=0), atol=1e-14)
+    assert np.array_equal(delta, table.val[2] - old)
 
 
 def test_estimator_unbiased_over_samples():
@@ -97,41 +83,47 @@ def test_estimator_unbiased_over_samples():
     # exact local mean operator
     rng = np.random.default_rng(3)
     d, q, lam = 5, 7, 0.2
-    ops = _ops(rng, d, q, lam=lam)
-    table = PhiTable(ops, rng.standard_normal(d))
+    samples = _samples(*_rows(rng, d, q), [q])
+    node = make_node(0, samples, 0.1, lam, rng.standard_normal(d), seed=0)
     z = rng.standard_normal(d)
     mean_est = np.zeros(d)
     for i in range(q):
-        est = table.phibar + lam * z
-        table.lookup(i).add_into(est, -1.0)
-        eval_component(ops[i], z).add_into(est)
+        est = node.table.phibar + lam * z - node.table.val[i] + node.component(i, z)
         mean_est += est / q
-    samples = SampleMatrix.from_shards("ridge", _shards([op.sample for op in ops], d, [q]))
     exact = local_mean_operator(samples, z[None, :], lam)[0]
     assert np.allclose(mean_est, exact, atol=1e-12)
 
 
 def test_node_rng_streams_are_per_node():
     rng = np.random.default_rng(4)
-    ops = _ops(rng, 5, 6)
-    a = make_node(0, ops, 0.1, 0.1, np.zeros(5), seed=7)
-    b = make_node(1, ops, 0.1, 0.1, np.zeros(5), seed=7)
+    samples = _samples(*_rows(rng, 5, 12), [6, 6])
+    a = make_node(0, samples, 0.1, 0.1, np.zeros(5), seed=7)
+    b = make_node(1, samples, 0.1, 0.1, np.zeros(5), seed=7)
     assert [a.draw() for _ in range(10)] != [b.draw() for _ in range(10)]
-    c = make_node(0, ops, 0.1, 0.1, np.zeros(5), seed=7)
-    a2 = make_node(0, ops, 0.1, 0.1, np.zeros(5), seed=7)
+    c = make_node(0, samples, 0.1, 0.1, np.zeros(5), seed=7)
+    a2 = make_node(0, samples, 0.1, 0.1, np.zeros(5), seed=7)
     assert [c.draw() for _ in range(10)] == [a2.draw() for _ in range(10)]
+
+
+def test_make_node_reads_its_rows_as_a_dense_block():
+    rng = np.random.default_rng(4)
+    X, y = _rows(rng, 5, 11)
+    samples = _samples(X, y, [4, 4, 3])
+    node = make_node(2, samples, 0.1, 0.1, np.zeros(5), seed=7)
+    assert np.array_equal(node.X, X[8:]) and np.array_equal(node.y, y[8:])
+    assert node.table.val.shape == (3, 5)
 
 
 def test_dsba_step_is_resolvent_of_psi():
     rng = np.random.default_rng(5)
     d, q = 5, 4
-    ops = _ops(rng, d, q, lam=0.3)
-    node = make_node(0, ops, alpha=0.2, lam=0.3, z0=rng.standard_normal(d), seed=1)
-    twin = make_node(0, ops, alpha=0.2, lam=0.3, z0=node.z.copy(), seed=1)
+    samples = _samples(*_rows(rng, d, q), [q])
+    node = make_node(0, samples, alpha=0.2, lam=0.3, z0=rng.standard_normal(d), seed=1)
+    twin = make_node(0, samples, alpha=0.2, lam=0.3, z0=node.z.copy(), seed=1)
     mixed = rng.standard_normal(d)
     i = twin.draw()
     psi = compute_psi(twin, mixed, i)
-    expect = resolve_regularized(ops[i], 0.2, psi)
+    expect = resolve_regularized("ridge", twin.X[i], twin.y[i], 0.2, 0.3, psi)
     z_next, delta, i_seen = dsba_node_step(node, mixed)
     assert i_seen == i
     assert np.allclose(z_next, expect, atol=1e-12)
@@ -140,13 +132,13 @@ def test_dsba_step_is_resolvent_of_psi():
 def test_dsa_delta_evaluated_at_current_iterate():
     rng = np.random.default_rng(6)
     d, q = 5, 4
-    ops = _ops(rng, d, q, lam=0.1)
-    node = make_node(0, ops, alpha=0.15, lam=0.1, z0=rng.standard_normal(d), seed=2)
+    samples = _samples(*_rows(rng, d, q), [q])
+    node = make_node(0, samples, alpha=0.15, lam=0.1, z0=rng.standard_normal(d), seed=2)
     z_t = node.z.copy()
-    old_tbl = [node.table.lookup(i).to_dense() for i in range(q)]
+    old_tbl = node.table.val.copy()
     _, delta, i = dsa_node_step(node, rng.standard_normal(d))
-    expect = eval_component(ops[i], z_t).to_dense() - old_tbl[i]
-    assert np.allclose(delta.to_dense(), expect, atol=1e-14)
+    expect = eval_component("ridge", node.X[i], node.y[i], z_t) - old_tbl[i]
+    assert np.allclose(delta, expect, atol=1e-14)
 
 
 def test_pointsaga_equals_dsba_self_loop():
@@ -154,10 +146,10 @@ def test_pointsaga_equals_dsba_self_loop():
     # self-loop: mixing input z^0 at round 0 and 2 z^t - z^{t-1} afterwards
     rng = np.random.default_rng(7)
     d, q = 6, 8
-    ops_a = _ops(rng, d, q, lam=0.2)
+    samples = _samples(*_rows(rng, d, q), [q])
     z0 = rng.standard_normal(d)
-    a = make_node(0, ops_a, 0.1, 0.2, z0, seed=3)
-    b = make_node(0, ops_a, 0.1, 0.2, z0, seed=3)
+    a = make_node(0, samples, 0.1, 0.2, z0, seed=3)
+    b = make_node(0, samples, 0.1, 0.2, z0, seed=3)
     seen = []
 
     def on_round(t, Z, states):
@@ -202,15 +194,13 @@ def _batched_case(family, d=6, sizes=(5, 4, 6), seed=9):
     """Unequal shards of random rows, labels alternating +1/-1 (ridge:
     real targets), a random start Z0 and the path's mixing matrix."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for q in sizes:
-        for k in range(q):
-            idx = np.sort(rng.choice(d, size=3, replace=False)).astype(np.int64)
-            val = rng.standard_normal(3)
-            label = float(rng.standard_normal()) if family == "ridge" else (-1.0) ** k
-            rows.append(Sample(idx, val / np.linalg.norm(val), label))
-    samples = SampleMatrix.from_shards(family, _shards(rows, d, sizes),
-                                       p=0.3 if family == "auc" else None)
+
+    def label(rng, k):
+        return float(rng.standard_normal()) if family == "ridge" else (-1.0) ** k
+
+    X, y = zip(*[_rows(rng, d, q, label) for q in sizes])
+    samples = _samples(np.vstack(X), np.concatenate(y), sizes, family,
+                       p=0.3 if family == "auc" else None)
     Z0 = rng.standard_normal((len(sizes), d + 3 if family == "auc" else d))
     return samples, Z0, build_mixing(make_adjacency("path", len(sizes)))
 

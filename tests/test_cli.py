@@ -208,6 +208,26 @@ def test_margin_of_one_is_config_error_before_any_run(tmp_path, capsys, monkeypa
     assert "margin" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,ini", [
+    (["--tau-scale", "nan"], ""),
+    ([], "[run]\nstop_subopt = nan\n"),
+    ([], "[data]\nnoise = nan\n"),
+    ([], "[data]\nn_samples = 0\n"),
+], ids=["tau-scale-nan", "stop-subopt-nan", "noise-nan", "no-samples"])
+def test_bad_config_value_is_config_error_before_any_run(tmp_path, capsys, monkeypatch,
+                                                         flags, ini):
+    # each of these used to exit 3 from deep in set-up, or run to exit 0
+    def no_run(config):
+        raise AssertionError("a bad value must be refused before the run starts")
+
+    monkeypatch.setattr(dsba.cli, "run", no_run)
+    path = tmp_path / "bad.ini"
+    path.write_text(ini)
+    code = main(["run", "--config", str(path), *flags, "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
 def test_operator_error_during_run_is_runtime_error(tmp_path, ini, monkeypatch):
     def failing_run(config):
         raise OperatorError("dimension mismatch")

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dsba.algorithms import local_mean_operator
-from dsba.operators import (COUNTERS, OperatorSpec, eval_component, lipschitz_bound,
-                            reset_counters)
+from dsba.operators import COUNTERS, eval_component, lipschitz_bound, reset_counters
 from dsba.simulator import (
     ConfigError,
     MetricsLog,
@@ -22,7 +21,7 @@ from dsba.simulator import (
     run,
     synthetic_samples,
 )
-from dsba.dataset import Rows, Sample, partition
+from dsba.dataset import Rows, partition
 
 
 def _spec(**kw):
@@ -60,6 +59,15 @@ def test_synthetic_rejects_margin_outside_unit_interval(margin):
     # forever, so the spec itself refuses it and no row is ever drawn
     with pytest.raises(ConfigError, match="margin"):
         SyntheticSpec(kind="classification", d=8, n_samples=5, margin=margin)
+
+
+@pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-2),
+                                dict(noise=float("nan")), dict(noise=float("inf"))])
+def test_synthetic_rejects_empty_data_and_non_finite_noise(kw):
+    # zero rows used to fail deep in set-up, and a NaN noise ran to a NaN
+    # suboptimality
+    with pytest.raises(ConfigError, match=next(iter(kw))):
+        SyntheticSpec(kind="ridge", d=8, **kw)
 
 
 def _per_row_samples(spec):
@@ -224,6 +232,10 @@ def test_build_problem_rejects_what_operators_reject():
         dict(variant="pointsaga", n_nodes=2),
         dict(comm="sparse", variant="extra"),
         dict(tau_scale=0.5),
+        dict(tau_scale=float("nan")),
+        dict(tau_scale=float("inf")),
+        dict(stop_subopt=-1e-3),
+        dict(stop_subopt=float("nan")),
         dict(track_lyapunov=True, variant="extra"),
         dict(synthetic=None),
         dict(engine="fast"),
@@ -262,28 +274,56 @@ def test_consensus_start_at_optimum_stays_there():
     z_star, _ = reference_solution(problem)
     from dsba.algorithms import dsba_node_step, make_node
 
-    node = make_node(0, problem.ops[0], alpha=0.05, lam=0.1, z0=z_star, seed=0)
+    node = make_node(0, problem.samples, alpha=0.05, lam=0.1, z0=z_star, seed=0)
     for t in range(200):
         # self-loop mixing input, W = Wt = [[1]]
         dsba_node_step(node, node.z if t == 0 else 2.0 * node.z - node.z_prev)
     assert np.linalg.norm(node.z - z_star) <= 1e-12
 
 
+def _engines_case(family, variant, n_samples):
+    # 39 samples on 4 nodes gives shards of 10, 10, 10 and 9
+    kind = "ridge" if family == "ridge" else "classification"
+    spec = _spec(kind=kind, d=10, n_samples=n_samples, margin=0.05)
+    return dict(family=family, variant=variant, n_nodes=4, topology="ring",
+                synthetic=spec, lam=0.05, rounds=200, seed=3, metric_every=50)
+
+
 @pytest.mark.parametrize("n_samples", [40, 39], ids=["equal", "unequal"])
 @pytest.mark.parametrize("variant", ["dsba", "dsa"])
 @pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
 def test_fast_engine_matches_generic(family, variant, n_samples):
-    # 39 samples on 4 nodes gives shards of 10, 10, 10 and 9
-    kind = "ridge" if family == "ridge" else "classification"
-    spec = _spec(kind=kind, d=10, n_samples=n_samples, margin=0.05)
-    common = dict(family=family, variant=variant, n_nodes=4, topology="ring",
-                  synthetic=spec, lam=0.05, rounds=200, seed=3, metric_every=50)
+    common = _engines_case(family, variant, n_samples)
     fast = run(RunConfig(engine="auto", **common))
     generic = run(RunConfig(engine="generic", **common))
     assert (fast.manifest["engine"], generic.manifest["engine"]) == ("fast", "generic")
-    assert len({len(ops) for ops in fast.problem.ops}) == (1 if n_samples == 40 else 2)
+    assert len(set(fast.problem.shards.sizes)) == (1 if n_samples == 40 else 2)
     assert np.max(np.abs(fast.z_final - generic.z_final)) < 1e-10
     assert fast.manifest["counters"] == generic.manifest["counters"]
+
+
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_fast_engine_departs_from_generic_on_a_wrong_kernel(family, monkeypatch):
+    # negative control: both engines resolve through the same margin
+    # kernels, yet the oracle evaluates its new table entry at z+ while the
+    # batched round takes the kernel's coefficient as the entry, so a kernel
+    # that solves at alpha * 1.01 sets the two apart
+    from dsba import algorithms, operators
+
+    name = f"kernel_{family}"
+    kernel = getattr(operators, name)
+
+    def at_wrong_alpha(m, na2, y, alpha, *rest):
+        return kernel(m, na2, y, 1.01 * alpha, *rest)
+
+    # the batched round calls kernel_auc itself, and the others through
+    # operators.resolve_margins
+    for module in (operators, algorithms) if family == "auc" else (operators,):
+        monkeypatch.setattr(module, name, at_wrong_alpha)
+    common = _engines_case(family, "dsba", 40)
+    fast = run(RunConfig(engine="auto", **common))
+    generic = run(RunConfig(engine="generic", **common))
+    assert np.max(np.abs(fast.z_final - generic.z_final)) > 1e-6
 
 
 @pytest.mark.parametrize("kw,engine", [
@@ -323,23 +363,26 @@ def test_engine_choice(kw, engine):
     pytest.param(dict(variant="pointsaga", n_nodes=1), False, id="pointsaga"),
 ])
 def test_only_the_per_node_engine_builds_operators(kw, built, monkeypatch):
-    # set-up builds the sample matrix alone: one OperatorSpec per sample is
-    # built, once, only for the per-node reference engine, and the step
-    # size's L is the largest of the sample matrix's row bounds
+    # set-up builds the sample matrix alone: the per-node operators, each
+    # node's rows as a dense block, are built once per node, only for the
+    # per-node reference engine, and the step size's L is the largest of the
+    # sample matrix's row bounds
+    from dsba import simulator
+
     made = []
-    post_init = OperatorSpec.__post_init__
+    make_node = simulator.make_node
 
-    def counting(op):
-        made.append(op)
-        post_init(op)
+    def counting(node, *args, **kwargs):
+        made.append(node)
+        return make_node(node, *args, **kwargs)
 
-    monkeypatch.setattr(OperatorSpec, "__post_init__", counting)
+    monkeypatch.setattr(simulator, "make_node", counting)
     kw = dict(kw)
     family = kw.setdefault("family", "ridge")
     spec = _spec(kind="ridge" if family == "ridge" else "classification", margin=0.05)
     res = run(RunConfig(synthetic=spec, **{"n_nodes": 4, "topology": "complete",
                                            "rounds": 3, "seed": 0, **kw}))
-    assert len(made) == (spec.n_samples if built else 0)
+    assert made == (list(range(res.config.n_nodes)) if built else [])
     assert res.manifest["lipschitz"] == lipschitz_bound(res.problem.samples, res.lam).max()
 
 
@@ -352,15 +395,18 @@ def test_only_the_per_node_engine_builds_operators(kw, built, monkeypatch):
 ])
 def test_set_up_builds_no_sample(kw, built, tmp_path, monkeypatch):
     # the dataset is one CSR form from generation or parse to the manifest:
-    # only the per-node oracle's operators take one-row `Sample` views
+    # only the per-node oracle evaluates one sample at a time, q_n per node
+    # for its tables and one per node-round
+    from dsba import algorithms
+
     made = []
-    init = Sample.__init__
+    eval_one = algorithms.eval_component
 
-    def counting(sample, *args, **kwargs):
-        made.append(sample)
-        init(sample, *args, **kwargs)
+    def counting(*args, **kwargs):
+        made.append(args[0])
+        return eval_one(*args, **kwargs)
 
-    monkeypatch.setattr(Sample, "__init__", counting)
+    monkeypatch.setattr(algorithms, "eval_component", counting)
     kw = dict(kw)
     family = kw.setdefault("family", "ridge")
     data = dict(synthetic=_spec(kind="ridge" if family == "ridge" else "classification",
@@ -373,7 +419,7 @@ def test_set_up_builds_no_sample(kw, built, tmp_path, monkeypatch):
     res = run(RunConfig(**data, **{"n_nodes": 4, "topology": "complete", "rounds": 3,
                                    "seed": 0, **kw}))
     assert res.manifest["Q"] == 40
-    assert len(made) == (40 if built else 0)
+    assert len(made) == (40 + 4 * 3 if built else 0)
 
 
 def test_metrics_csv_roundtrip():
@@ -448,14 +494,15 @@ def _traffic_by_round(res, rounds):
     cfg, mix = res.config, res.mix
     values, initial, metadata = (np.zeros((rounds, cfg.n_nodes), dtype=np.int64)
                                  for _ in range(3))
-    for n, ops in enumerate(res.problem.ops):
+    S = res.problem.samples
+    nnz = np.diff(S.X.indptr) + (2 if cfg.family == "auc" else 0)
+    for n, (start, q) in enumerate(zip(S.starts, res.problem.shards.sizes)):
         rng = np.random.default_rng([cfg.seed, n])
         for s in range(-1, rounds):
             if s == -1:
                 payload = 2 * res.problem.dim
             else:
-                op = ops[int(rng.integers(len(ops)))]
-                payload = len(op.sample.indices) + (2 if cfg.family == "auc" else 0)
+                payload = nnz[start + int(rng.integers(q))]
             for u in range(cfg.n_nodes):
                 t = s + mix.distances[n, u]
                 if u != n and t < rounds:
@@ -514,7 +561,7 @@ def test_sparse_matches_dense_generic(family, variant):
                   lam=0.05, rounds=200, seed=3, metric_every=50)
     dense = run(RunConfig(comm="dense", engine="generic", **common))
     sparse = run(RunConfig(comm="sparse", **common))
-    assert len({len(ops) for ops in sparse.problem.ops}) == 2
+    assert len(set(sparse.problem.shards.sizes)) == 2
     assert np.max(np.abs(dense.z_final - sparse.z_final)) < 1e-9
     assert sparse.manifest["counters"] == dense.manifest["counters"]
     values, metadata, initial = _traffic_oracle(sparse)
@@ -654,11 +701,19 @@ def _unequal_problem(family, nnz):
     return build_problem(shards, family, lam=0.07)
 
 
-def _per_sample_mean(ops, z, lam):
-    """Oracle: (1/q) sum_i B_i(z) + lam*z from per-sample evaluations."""
+def _node_rows(problem):
+    """Each node's rows as a dense block, with their labels."""
+    S = problem.samples
+    return list(zip(np.split(S.X.toarray(), S.starts[1:]), np.split(S.y, S.starts[1:])))
+
+
+def _per_sample_mean(problem, rows, z, lam):
+    """Oracle: (1/q) sum_i B_i(z) + lam*z from per-sample evaluations of
+    one node's (rows, labels)."""
+    S, (X, y) = problem.samples, rows
     out = lam * z
-    for op in ops:
-        eval_component(op, z).add_into(out, 1.0 / len(ops))
+    for a, b in zip(X, y):
+        out += eval_component(S.family, a, b, z, S.p) * (1.0 / len(y))
     return out
 
 
@@ -672,11 +727,11 @@ def test_batched_operators_match_per_sample_oracle(family, nnz):
     reset_counters()
     G = local_mean_operator(problem.samples, Z, lam)
     assert COUNTERS["component_evals"] == 23
-    for n, ops in enumerate(problem.ops):
-        assert np.max(np.abs(G[n] - _per_sample_mean(ops, Z[n], lam))) <= 1e-12
+    for n, rows in enumerate(_node_rows(problem)):
+        assert np.max(np.abs(G[n] - _per_sample_mean(problem, rows, Z[n], lam))) <= 1e-12
 
     z = Z[0]
-    expect = sum(_per_sample_mean(ops, z, lam) for ops in problem.ops)
+    expect = sum(_per_sample_mean(problem, rows, z, lam) for rows in _node_rows(problem))
     assert np.max(np.abs(global_operator(problem)(z) - expect)) <= 1e-12
     if family == "auc":
         return
@@ -686,8 +741,8 @@ def test_batched_operators_match_per_sample_oracle(family, nnz):
     else:
         def loss(m, y):
             return np.logaddexp(0.0, -y * m)
-    f = sum(sum(loss(op.sample.values @ z[op.sample.indices], op.sample.label)
-                for op in ops) / len(ops) for ops in problem.ops)
+    f = sum(sum(loss(a @ z, b) for a, b in zip(X, y)) / len(y)
+            for X, y in _node_rows(problem))
     f += 0.5 * 4 * lam * float(z @ z)
     assert abs(objective(problem, z) - f) <= 1e-12 * max(1.0, abs(f))
 
@@ -702,8 +757,8 @@ def test_extra_engine_matches_per_sample_loop(family):
     problem, mix = result.problem, result.mix
 
     def G_of(Z):
-        return np.stack([_per_sample_mean(ops, Z[n], problem.lam)
-                         for n, ops in enumerate(problem.ops)])
+        return np.stack([_per_sample_mean(problem, rows, Z[n], problem.lam)
+                         for n, rows in enumerate(_node_rows(problem))])
 
     # the independent reference: EXTRA's float64 mixing form, W Z - alpha G
     # at round 0 and Wt(2Z - Z-) - alpha(G - G-) afterwards

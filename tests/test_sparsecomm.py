@@ -87,8 +87,8 @@ def _run_sparse(mix, rounds, d=12, q=6, **kw):
 def _dense_reference(mix, variant, rounds, d=12):
     # the per-node update rule, one node at a time
     shards, z0 = _data(mix, d=d)
-    states = [make_node(n, ops, ALPHA, LAM, z0[n], seed=SEED)
-              for n, ops in enumerate(build_problem(shards, "ridge", LAM).ops)]
+    samples = build_problem(shards, "ridge", LAM).samples
+    states = [make_node(n, samples, ALPHA, LAM, z0[n], seed=SEED) for n in range(mix.n)]
     step = dsba_node_step if variant == "dsba" else dsa_node_step
     Z = np.stack([s.z for s in states])
     for t in range(rounds):
