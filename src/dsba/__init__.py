@@ -12,7 +12,7 @@ from .dataset import (Rows, Shards, default_lambda, normalize_rows, parse_libsvm
 from .operators import eval_component, lipschitz_bound, resolve_regularized
 from .simulator import (MetricsLog, Problem, RunConfig, RunResult,
                         SyntheticSpec, auc_score, build_problem, objective,
-                        reference_solution, run, synthetic_samples)
+                        reference_solution, run, set_up, synthetic_samples)
 from .sparsecomm import Network, ObserverMemory, run_sparse
 from .topology import (MixingMatrix, build_mixing, check_mixing_conditions,
                        make_adjacency)

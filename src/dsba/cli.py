@@ -145,7 +145,6 @@ def cmd_compare(args) -> int:
     for variant in variants:
         rc = load_config(args.config, args)
         rc.variant = variant
-        rc.validate()
         result = run(rc)
         manifests[variant] = result.manifest
         for row in result.metrics.rows:

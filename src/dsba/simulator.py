@@ -56,8 +56,10 @@ class SyntheticSpec:
             raise ConfigError(f"unknown synthetic kind {self.kind!r}")
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
-        if not 1 <= (self.nnz or self.d) <= self.d:
+        if not 1 <= (self.d if self.nnz is None else self.nnz) <= self.d:
             raise ConfigError("nnz must be in [1, d]")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if not np.isfinite(self.noise):
             raise ConfigError("noise must be finite")
         # rows and w* are unit vectors, so |cos| <= 1 and margin >= 1 rejects every row
@@ -262,7 +264,6 @@ class RunConfig:
     metric_every: int | None = None  # None -> one effective pass (q_min)
     stop_subopt: float | None = None
     track_lyapunov: bool = False
-    lyapunov_every: int = 10
     record_trajectory: bool = False
     compute_score: bool = True   # objective/AUC column is skippable work
 
@@ -283,10 +284,10 @@ class RunConfig:
             raise ConfigError("lambda must be nonnegative and finite")
         if self.metric_every is not None and self.metric_every < 1:
             raise ConfigError("metric_every must be >= 1")
-        if self.lyapunov_every < 1:
-            raise ConfigError("lyapunov_every must be >= 1")
         if self.rounds < 0:
             raise ConfigError("rounds must be nonnegative")
+        if self.seed < 0 or self.graph_seed < 0:
+            raise ConfigError("seed and graph_seed must be nonnegative")
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be positive")
         if self.variant == "pointsaga" and self.n_nodes != 1:
@@ -336,17 +337,38 @@ class MetricsLog:
         return None
 
 
-@dataclass
-class RunResult:
+@dataclass(kw_only=True)
+class RunSetup:
+    """What a run fixes before round 0 (`set_up`)."""
+
     config: RunConfig
-    metrics: MetricsLog
-    z_final: np.ndarray             # (N, dim)
+    problem: Problem
+    adjacency: np.ndarray
+    mix: MixingMatrix
+    lam: float
+    L: float                        # the largest component Lipschitz bound
+    alpha: float
     z_star: np.ndarray
     z_star_residual: float
-    alpha: float
-    lam: float
-    mix: MixingMatrix
-    problem: Problem
+    Z0: np.ndarray                  # (N, dim) start, zero at every node
+    t_start: float                  # perf_counter when set-up began; wall_time's origin
+
+    @property
+    def engine(self) -> str:
+        """The engine label: "extra", EXTRA's own full-activation loop;
+        "fast", the batched round, under engine = auto and for every sparse
+        run; "generic", the per-node reference oracle, under engine =
+        generic."""
+        config = self.config
+        if config.variant == "extra":
+            return "extra"
+        return "fast" if config.comm == "sparse" or config.engine == "auto" else "generic"
+
+
+@dataclass(kw_only=True)
+class RunResult(RunSetup):
+    metrics: MetricsLog
+    z_final: np.ndarray             # (N, dim)
     manifest: dict
     lyapunov: list[tuple[int, float]] | None = None
     trajectory: list[np.ndarray] | None = None
@@ -356,6 +378,9 @@ class RunResult:
 
 # ---------------------------------------------------------------------------
 # Lyapunov diagnostic
+
+
+LYAPUNOV_EVERY = 10  # rounds between two samples of the Lyapunov energy
 
 
 class LyapunovTracker:
@@ -368,10 +393,9 @@ class LyapunovTracker:
     (a list of `NodeState`) or the `BatchedTable` of the batched steps.
     """
 
-    def __init__(self, mix: MixingMatrix, problem: Problem, z_star: np.ndarray,
-                 alpha: float, L: float, every: int = 10):
+    def __init__(self, setup: RunSetup):
+        mix, problem, z_star = setup.mix, setup.problem, setup.z_star
         self.Wt = mix.Wt
-        self.every = every
         evals, vecs = np.linalg.eigh(np.eye(mix.n) - mix.W)
         evals = np.clip(evals, 0.0, None)
         self.U = vecs @ np.diag(np.sqrt(evals)) @ vecs.T
@@ -379,11 +403,10 @@ class LyapunovTracker:
         U_pinv = vecs @ np.diag(inv) @ vecs.T
         B_star = local_mean_operator(problem.samples,
                                      np.tile(z_star, (problem.n_nodes, 1)), problem.lam)
-        self.Q_star = -alpha * (U_pinv @ B_star)
-        self.z_star = z_star
-        self.problem = problem
+        self.Q_star = -setup.alpha * (U_pinv @ B_star)
+        self.setup = setup
         q = problem.shards.q_min
-        self.c = q / (96.0 * L * L)
+        self.c = q / (96.0 * setup.L * setup.L)
         self.sum_Z: np.ndarray | None = None
         self.history: list[tuple[int, float]] = []
 
@@ -391,7 +414,7 @@ class LyapunovTracker:
     def node_targets(self) -> list[np.ndarray]:
         """B_{n,i}(z*) per node, one dense (q_n, dim) array each: the
         per-node tables' form."""
-        S, z = self.problem.samples, self.z_star
+        S, z = self.setup.problem.samples, self.setup.z_star
         B = np.array([eval_component(S.family, a, y, z, S.p)
                       for a, y in zip(S.X.toarray(), S.y)])
         return np.split(B, S.starts[1:])
@@ -399,8 +422,8 @@ class LyapunovTracker:
     @functools.cached_property
     def row_targets(self) -> tuple[np.ndarray, np.ndarray | None]:
         """B_i(z*) per sample row, in the batched table's form."""
-        S = self.problem.samples
-        z = self.z_star
+        S = self.setup.problem.samples
+        z = self.setup.z_star
         return S.row_terms(S.X @ z[:S.d], z[S.d:] if S.family == "auc" else None)
 
     def table_term(self, table: list[NodeState] | BatchedTable) -> float:
@@ -412,9 +435,9 @@ class LyapunovTracker:
 
     def update(self, t: int, Z: np.ndarray, table: list[NodeState] | BatchedTable) -> None:
         self.sum_Z = Z.copy() if self.sum_Z is None else self.sum_Z + Z
-        if t % self.every:
+        if t % LYAPUNOV_EVERY:
             return
-        dZ = Z - self.z_star
+        dZ = Z - self.setup.z_star
         term_z = float(np.sum(dZ * (self.Wt @ dZ)))
         dQ = self.U @ self.sum_Z - self.Q_star
         term_q = float(np.sum(dQ * dQ))
@@ -445,9 +468,9 @@ def _run_dense_generic(states: list[NodeState], mix: MixingMatrix, rounds: int,
 
 
 def _run_extra(problem: Problem, mix: MixingMatrix, rounds: int, alpha: float,
-               z0: np.ndarray, on_round) -> np.ndarray:
+               Z0: np.ndarray, on_round) -> np.ndarray:
     samples, lam = problem.samples, problem.lam
-    Z = np.tile(z0, (problem.n_nodes, 1))
+    Z = Z0
     S = np.zeros(Z.shape)
     for t in range(rounds):
         Z = extra_round(Z, S, local_mean_operator(samples, Z, lam), mix.Wt, alpha)
@@ -472,26 +495,17 @@ def _run_batched(table: BatchedTable, mix: MixingMatrix, Z0: np.ndarray, rounds:
 # run
 
 
-def _load_shards(config: RunConfig) -> ds.Shards:
-    rows = (synthetic_samples(config.synthetic) if config.dataset_path is None
-            else ds.normalize_rows(ds.read_libsvm(config.dataset_path)))
-    return ds.partition(rows, config.n_nodes, config.seed)
-
-
-def _pick_engine(config: RunConfig) -> str:
-    """The engine label: "extra", EXTRA's own full-activation loop; "fast",
-    the batched round, under engine = auto and for every sparse run;
-    "generic", the per-node reference oracle, under engine = generic."""
-    if config.variant == "extra":
-        return "extra"
-    return "fast" if config.comm == "sparse" or config.engine == "auto" else "generic"
-
-
-def run(config: RunConfig) -> RunResult:
+def set_up(config: RunConfig) -> RunSetup:
+    """Everything fixed before round 0, with the operation counters reset:
+    the validated config, data, problem, graph and mixing matrix, L, alpha,
+    lambda, the reference root and its residual, and the start Z0. Steps
+    no round."""
     config.validate()
     reset_counters()
     t_start = time.perf_counter()
-    shards = _load_shards(config)
+    rows = (synthetic_samples(config.synthetic) if config.dataset_path is None
+            else ds.normalize_rows(ds.read_libsvm(config.dataset_path)))
+    shards = ds.partition(rows, config.n_nodes, config.seed)
     lam = config.lam if config.lam is not None else ds.default_lambda(shards)
     problem = build_problem(shards, config.family, lam)
     adjacency = make_adjacency(config.topology, config.n_nodes,
@@ -503,107 +517,99 @@ def run(config: RunConfig) -> RunResult:
     L = float(lipschitz_bound(problem.samples, lam).max())
     alpha = config.alpha if config.alpha is not None else step_size_bound(L)
     z_star, z_resid = reference_solution(problem)
-    z0 = np.zeros(problem.dim)
+    return RunSetup(config=config, problem=problem,
+                    adjacency=adjacency, mix=mix, lam=lam, L=L, alpha=alpha,
+                    z_star=z_star, z_star_residual=z_resid,
+                    Z0=np.zeros((config.n_nodes, problem.dim)), t_start=t_start)
 
-    Z_star_tile = np.tile(z_star, (config.n_nodes, 1))
-    Z0 = np.tile(z0, (config.n_nodes, 1))
-    denom = max(float(np.linalg.norm(Z0 - Z_star_tile)), 1e-300)
-    metric_every = config.metric_every or shards.q_min
-    metrics = MetricsLog()
-    trajectory: list[np.ndarray] | None = None
-    if config.record_trajectory:
-        trajectory = [Z0.copy()]
-    net = Network(mix.distances) if config.comm == "sparse" else None
 
-    # doubles the busiest node receives per dense round: degree times dim
-    dense_round_max = 0.0 if config.n_nodes == 1 else adjacency.sum(axis=1).max() * problem.dim
+class Recorder:
+    """The engines' `on_round(t, Z, table)` callback, called with Z = Z^{t+1}
+    after round t, and with t = -1 and Z = Z0 before round 0. It keeps the
+    trajectory and the Lyapunov trace, writes a metric row every
+    `metric_every` rounds (default one pass, q_min rounds) and after the
+    last, and returns True, which stops the engine, once a row's
+    suboptimality is at most `stop_subopt`."""
 
-    def c_max_at(t: int) -> int:
-        if net is not None:
-            return int(net.received_doubles().max())
-        return int(dense_round_max * (t + 1))
+    def __init__(self, setup: RunSetup, net: Network | None):
+        config, problem = setup.config, setup.problem
+        self.setup, self.net = setup, net
+        self.Z_star = np.tile(setup.z_star, (config.n_nodes, 1))
+        self.denom = max(float(np.linalg.norm(setup.Z0 - self.Z_star)), 1e-300)
+        self.every = config.metric_every or problem.shards.q_min
+        # doubles the busiest node receives per dense round: degree times dim
+        self.dense_round_max = setup.adjacency.sum(axis=1).max() * problem.dim
+        self.metrics = MetricsLog()
+        self.trajectory: list[np.ndarray] | None = [] if config.record_trajectory else None
+        self.tracker = LyapunovTracker(setup) if config.track_lyapunov else None
 
-    def passes(t: int) -> float:
-        if config.variant == "extra":
-            return float(t + 1)
-        return (t + 1) / shards.q_min
-
-    def record(t: int, Z: np.ndarray) -> None:
-        subopt = float(np.linalg.norm(Z - Z_star_tile)) / denom
+    def __call__(self, t: int, Z: np.ndarray, table=None) -> bool:
+        if self.trajectory is not None:
+            self.trajectory.append(Z.copy())
+        if self.tracker is not None:
+            self.tracker.update(t + 1, Z, table)
+        config, problem, rounds = self.setup.config, self.setup.problem, t + 1
+        if rounds % self.every and rounds != config.rounds:
+            return False
+        subopt = float(np.linalg.norm(Z - self.Z_star)) / self.denom
         if not config.compute_score:
             score = float("nan")
         elif problem.family == "auc":
-            w_mean = Z.mean(axis=0)[: shards.d]
-            try:
-                score = auc_score(w_mean, problem.samples.X, problem.samples.y)
-            except ConfigError:
-                score = float("nan")
+            S = problem.samples
+            score = auc_score(Z.mean(axis=0)[:S.d], S.X, S.y)
         else:
             score = objective(problem, Z.mean(axis=0))
-        metrics.rows.append(MetricsRow(t + 1, passes(t), subopt, score,
-                                       c_max_at(t), time.perf_counter() - t_start))
-
-    # initialization row (round 0)
-    init_score = float("nan")
-    if config.compute_score and problem.family != "auc":
-        init_score = objective(problem, z0)
-    metrics.rows.append(MetricsRow(
-        0, 0.0, 1.0 if denom > 1e-299 else 0.0, init_score,
-        0, time.perf_counter() - t_start))
-
-    tracker: LyapunovTracker | None = None
-    if config.track_lyapunov:
-        tracker = LyapunovTracker(mix, problem, z_star, alpha, L,
-                                  every=config.lyapunov_every)
-
-    stop = config.stop_subopt
-
-    def on_round(t: int, Z: np.ndarray, table=None) -> bool:
-        if trajectory is not None:
-            trajectory.append(Z.copy())
-        if tracker is not None:
-            tracker.update(t + 1, Z, table)
-        last = t + 1 == config.rounds
-        if (t + 1) % metric_every == 0 or last:
-            record(t, Z)
-            if stop is not None and metrics.rows[-1].subopt <= stop:
-                return True
-        return False
-
-    engine = _pick_engine(config)
-
-    if engine == "extra":
-        Z_final = _run_extra(problem, mix, config.rounds, alpha, z0, on_round)
-    else:
-        # every engine's table starts anchored at Z0, and gives round 0's entry
-        table = ([make_node(n, problem.samples, alpha, lam, z0, config.seed)
-                  for n in range(config.n_nodes)] if engine == "generic"
-                 else BatchedTable(problem.samples, Z0, config.seed))
-        if tracker is not None:
-            tracker.update(0, Z0, table)
-        if engine == "generic":
-            Z_final = _run_dense_generic(table, mix, config.rounds, config.variant,
-                                         on_round)
-        elif net is None:  # Point-SAGA is dsba on one node
-            Z_final = _run_batched(table, mix, Z0, config.rounds, alpha, lam,
-                                   "dsa" if config.variant == "dsa" else "dsba", on_round)
+        passes = float(rounds) if config.variant == "extra" else rounds / problem.shards.q_min
+        if self.net is not None:
+            c_max = int(self.net.received_doubles().max())
         else:
-            Z_final, _ = run_sparse(table, mix, Z0, config.rounds, alpha=alpha, lam=lam,
-                                    variant=config.variant, on_round=on_round, net=net)
+            c_max = int(self.dense_round_max * rounds)
+        self.metrics.rows.append(MetricsRow(rounds, passes, subopt, score, c_max,
+                                            time.perf_counter() - self.setup.t_start))
+        return config.stop_subopt is not None and subopt <= config.stop_subopt
 
+
+def step_rounds(setup: RunSetup, on_round: Recorder, net: Network | None) -> np.ndarray:
+    """Row 0 from Z0, then the engine's rounds; returns the final iterate."""
+    config, problem, mix, Z0 = setup.config, setup.problem, setup.mix, setup.Z0
+    # every engine's table starts anchored at Z0, and gives round 0's entry
+    table = None
+    if setup.engine == "generic":
+        table = [make_node(n, problem.samples, setup.alpha, setup.lam, z0, config.seed)
+                 for n, z0 in enumerate(Z0)]
+    elif setup.engine == "fast":
+        table = BatchedTable(problem.samples, Z0, config.seed)
+    # row 0 never stops a run: with stop_subopt >= 1 the first later row does
+    on_round(-1, Z0, table)
+    if setup.engine == "extra":
+        return _run_extra(problem, mix, config.rounds, setup.alpha, Z0, on_round)
+    if setup.engine == "generic":
+        return _run_dense_generic(table, mix, config.rounds, config.variant, on_round)
+    if net is None:  # Point-SAGA is dsba on one node
+        return _run_batched(table, mix, Z0, config.rounds, setup.alpha, setup.lam,
+                            "dsa" if config.variant == "dsa" else "dsba", on_round)
+    return run_sparse(table, mix, Z0, config.rounds, alpha=setup.alpha, lam=setup.lam,
+                      variant=config.variant, on_round=on_round, net=net)[0]
+
+
+def report(setup: RunSetup, recorder: Recorder, net: Network | None,
+           z_final: np.ndarray) -> RunResult:
+    """The manifest, and the result: the set-up's fields plus what the
+    rounds recorded."""
+    shards = setup.problem.shards
     manifest = {
-        "config": asdict(config),
-        "engine": engine,
-        "alpha": alpha,
-        "lambda": lam,
-        "lipschitz": L,
-        "gamma": mix.gamma,
-        "graph_edges": int(adjacency.sum() // 2),
+        "config": asdict(setup.config),
+        "engine": setup.engine,
+        "alpha": setup.alpha,
+        "lambda": setup.lam,
+        "lipschitz": setup.L,
+        "gamma": setup.mix.gamma,
+        "graph_edges": int(setup.adjacency.sum() // 2),
         "q_min": shards.q_min,
         "Q": shards.Q,
         "p_positive": shards.p,
         "rho": shards.rho,
-        "z_star_residual": z_resid,
+        "z_star_residual": setup.z_star_residual,
         "shards": ds.shard_manifest(shards),
         "counters": dict(COUNTERS),
         "numpy": np.__version__,
@@ -611,14 +617,21 @@ def run(config: RunConfig) -> RunResult:
     if net is not None:
         manifest["traffic"] = traffic_summary(net)
     return RunResult(
-        config=config, metrics=metrics, z_final=Z_final, z_star=z_star,
-        z_star_residual=z_resid, alpha=alpha, lam=lam, mix=mix, problem=problem,
-        manifest=manifest,
-        lyapunov=tracker.history if tracker else None,
-        trajectory=trajectory,
+        **vars(setup), metrics=recorder.metrics, z_final=z_final, manifest=manifest,
+        lyapunov=recorder.tracker.history if recorder.tracker else None,
+        trajectory=recorder.trajectory,
         comm_per_round=net.max_round_values.tolist() if net is not None else None,
         received_doubles=net.received_doubles() if net is not None else None,
     )
+
+
+def run(config: RunConfig) -> RunResult:
+    """`set_up`, one engine call that feeds a `Recorder` (`step_rounds`),
+    and the `report`."""
+    setup = set_up(config)
+    net = Network(setup.mix.distances) if config.comm == "sparse" else None
+    recorder = Recorder(setup, net)
+    return report(setup, recorder, net, step_rounds(setup, recorder, net))
 
 
 def manifest_json(result: RunResult) -> str:

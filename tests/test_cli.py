@@ -213,7 +213,12 @@ def test_margin_of_one_is_config_error_before_any_run(tmp_path, capsys, monkeypa
     ([], "[run]\nstop_subopt = nan\n"),
     ([], "[data]\nnoise = nan\n"),
     ([], "[data]\nn_samples = 0\n"),
-], ids=["tau-scale-nan", "stop-subopt-nan", "noise-nan", "no-samples"])
+    (["--seed", "-2"], ""),
+    ([], "[graph]\ngraph_seed = -1\n"),
+    ([], "[data]\ndata_seed = -1\n"),
+    ([], "[data]\nnnz = 0\n"),
+], ids=["tau-scale-nan", "stop-subopt-nan", "noise-nan", "no-samples", "negative-seed",
+        "negative-graph-seed", "negative-data-seed", "zero-nnz"])
 def test_bad_config_value_is_config_error_before_any_run(tmp_path, capsys, monkeypatch,
                                                          flags, ini):
     # each of these used to exit 3 from deep in set-up, or run to exit 0

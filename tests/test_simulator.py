@@ -19,6 +19,7 @@ from dsba.simulator import (
     objective,
     reference_solution,
     run,
+    set_up,
     synthetic_samples,
 )
 from dsba.dataset import Rows, partition
@@ -62,10 +63,12 @@ def test_synthetic_rejects_margin_outside_unit_interval(margin):
 
 
 @pytest.mark.parametrize("kw", [dict(n_samples=0), dict(n_samples=-2),
-                                dict(noise=float("nan")), dict(noise=float("inf"))])
+                                dict(noise=float("nan")), dict(noise=float("inf")),
+                                dict(nnz=0), dict(seed=-1)])
 def test_synthetic_rejects_empty_data_and_non_finite_noise(kw):
-    # zero rows used to fail deep in set-up, and a NaN noise ran to a NaN
-    # suboptimality
+    # zero rows used to fail deep in set-up, a NaN noise ran to a NaN
+    # suboptimality, nnz = 0 gave dense rows and a negative seed failed in
+    # numpy's generator
     with pytest.raises(ConfigError, match=next(iter(kw))):
         SyntheticSpec(kind="ridge", d=8, **kw)
 
@@ -247,7 +250,8 @@ def test_build_problem_rejects_what_operators_reject():
         dict(lam=float("nan")),
         dict(lam=float("inf")),
         dict(metric_every=0),
-        dict(lyapunov_every=0),
+        dict(seed=-2),
+        dict(graph_seed=-1),
     ],
 )
 def test_config_validation_rejects(kw):
@@ -257,13 +261,38 @@ def test_config_validation_rejects(kw):
         RunConfig(**base).validate()
 
 
-def test_zero_rounds_logs_initialization_row():
-    cfg = RunConfig(synthetic=_spec(), n_nodes=2, topology="complete",
-                    rounds=0, seed=0)
+@pytest.mark.parametrize("comm", ["dense", "sparse"])
+@pytest.mark.parametrize("family", ["ridge", "logistic", "auc"])
+def test_zero_rounds_logs_initialization_row(family, comm):
+    # row 0 takes the recording path of every other row: the score of Z0
+    # (an all-zero scorer ties every pair, so auc reads 1/2), no traffic yet
+    kind = "ridge" if family == "ridge" else "classification"
+    cfg = RunConfig(family=family, comm=comm, synthetic=_spec(kind=kind, margin=0.05),
+                    n_nodes=2, topology="complete", rounds=0, seed=0,
+                    track_lyapunov=True, record_trajectory=True)
     result = run(cfg)
     assert len(result.metrics.rows) == 1
-    assert result.metrics.final.subopt == 1.0
-    assert result.metrics.final.round == 0
+    row = result.metrics.final
+    assert (row.round, row.effective_passes, row.subopt, row.c_max) == (0, 0.0, 1.0, 0)
+    expected = 0.5 if family == "auc" else objective(result.problem, np.zeros(result.problem.dim))
+    assert row.score == expected
+    assert len(result.trajectory) == 1 and np.array_equal(result.trajectory[0], result.Z0)
+    assert [t for t, _ in result.lyapunov] == [0]
+    assert np.array_equal(result.z_final, result.Z0)
+
+
+@pytest.mark.parametrize("family,comm", [("ridge", "dense"), ("auc", "sparse")])
+def test_set_up_steps_no_round(family, comm):
+    kind = "ridge" if family == "ridge" else "classification"
+    cfg = RunConfig(family=family, comm=comm, synthetic=_spec(kind=kind, nnz=4, margin=0.05),
+                    n_nodes=3, topology="path", rounds=30, seed=2)
+    setup = set_up(cfg)
+    assert COUNTERS["resolves"] == 0
+    result = run(cfg)
+    assert COUNTERS["resolves"] > 0
+    assert np.array_equal(setup.z_star, result.z_star)
+    assert (setup.alpha, setup.L) == (result.alpha, result.L)
+    assert np.array_equal(setup.mix.W, result.mix.W)
 
 
 def test_consensus_start_at_optimum_stays_there():
@@ -580,7 +609,7 @@ def test_sparse_lyapunov_matches_dense_generic(family, comm):
     kind = "ridge" if family == "ridge" else "classification"
     common = dict(family=family, synthetic=_spec(kind=kind, n_samples=60, margin=0.05),
                   n_nodes=3, topology="path", lam=0.1, rounds=50, seed=6,
-                  track_lyapunov=True, lyapunov_every=10)
+                  track_lyapunov=True)
     generic = run(RunConfig(engine="generic", **common))
     batched = run(RunConfig(comm=comm, **common))
     assert batched.manifest["engine"] == "fast"
@@ -662,7 +691,7 @@ def test_sparse_manifest_summarises_traffic():
 def test_lyapunov_tracked_rounds():
     cfg = RunConfig(synthetic=_spec(n_samples=60), n_nodes=3, topology="complete",
                     engine="generic", lam=0.1, rounds=50, seed=6,
-                    track_lyapunov=True, lyapunov_every=10)
+                    track_lyapunov=True)
     result = run(cfg)
     ts = [t for t, _ in result.lyapunov]
     assert ts == [0, 10, 20, 30, 40, 50]

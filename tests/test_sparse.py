@@ -17,26 +17,9 @@ def _nonzeros(x):
     return SparseVec(nz, x[nz], len(x))
 
 
-@given(dense_arrays())
-def test_roundtrip_dense(x):
-    v = _nonzeros(x)
-    assert np.array_equal(v.to_dense(), x)
-
-
-@given(dense_arrays())
-def test_nnz_counts_nonzeros(x):
-    assert _nonzeros(x).nnz == int(np.count_nonzero(x))
-
-
 @given(dense_arrays(), st.floats(-5, 5, allow_nan=False))
 def test_add_into_matches_dense_axpy(x, scale):
     v = _nonzeros(x)
     acc = np.ones_like(x)
     v.add_into(acc, scale)
     assert np.allclose(acc, 1.0 + scale * x)
-
-
-def test_zero():
-    z = SparseVec.zero(4)
-    assert z.nnz == 0
-    assert np.array_equal(z.to_dense(), np.zeros(4))
